@@ -3,8 +3,10 @@
 //! The static checker ([`crate::check`]) predicts, per kernel and buffer,
 //! where cross-thread conflicts are possible. The dynamic detector
 //! (`ecl-racecheck`) witnesses, per kernel and buffer, where they actually
-//! happen on concrete runs. On inputs small enough to explore and with the
-//! canonical policy/visibility mapping, the two must agree:
+//! happen on concrete runs of [`ecl_core::suite::run_variant_on`] — the
+//! same (algorithm, variant) → policy/visibility mapping the sweep and
+//! `racecheck_tool` use. On inputs small enough to explore, the two must
+//! agree:
 //!
 //! - a **dynamically-witnessed race** on a (kernel, buffer) the checker
 //!   proved safe means a contract *lies* (its disciplines or declared
@@ -24,11 +26,9 @@
 
 use crate::check::check_algorithm;
 use ecl_core::contracts::for_algorithm;
-use ecl_core::primitives::{Atomic, Plain, Volatile, VolatileReadPlainWrite};
-use ecl_core::suite::{Algorithm, Variant};
-use ecl_core::{apsp, cc, gc, mis, mst, scc};
+use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_graph::{gen, Csr, CsrBuilder};
-use ecl_simt::{Gpu, GpuConfig, StoreVisibility};
+use ecl_simt::{Gpu, GpuConfig};
 use std::collections::BTreeSet;
 
 /// One disagreement between the static and dynamic views.
@@ -80,43 +80,6 @@ pub struct DiffOutcome {
     pub launched: BTreeSet<String>,
     /// The disagreements (empty = the views coincide).
     pub mismatches: Vec<Mismatch>,
-}
-
-/// Runs one algorithm × variant on a caller-provided GPU with the canonical
-/// policy/visibility mapping (the same mapping `racecheck_tool` and the
-/// sweep matrix use). The caller decides whether tracing or the sanitizer is
-/// armed. MST and APSP inputs get deterministic weights when missing.
-pub fn run_traced_variant(gpu: &mut Gpu, algorithm: Algorithm, variant: Variant, graph: &Csr) {
-    let owned;
-    let graph = if algorithm.weighted() && graph.weights().is_none() {
-        owned = graph.clone().with_random_weights(1_000, 0xec1);
-        &owned
-    } else {
-        graph
-    };
-    let race_free = variant == Variant::RaceFree;
-    let deferred = StoreVisibility::DeferUntilYield;
-    let immediate = StoreVisibility::Immediate;
-    match (algorithm, race_free) {
-        (Algorithm::Apsp, _) => drop(apsp::run_traced(gpu, graph)),
-        (Algorithm::Cc, false) => drop(cc::run_traced::<Plain>(gpu, graph, deferred)),
-        (Algorithm::Cc, true) => drop(cc::run_traced::<Atomic>(gpu, graph, immediate)),
-        (Algorithm::Gc, false) => drop(gc::run_traced::<Volatile, Plain>(gpu, graph, deferred)),
-        (Algorithm::Gc, true) => drop(gc::run_traced::<Atomic, Atomic>(gpu, graph, immediate)),
-        (Algorithm::Mis, false) => drop(mis::run_traced::<VolatileReadPlainWrite>(
-            gpu,
-            graph,
-            StoreVisibility::DeferBounded {
-                every: 2,
-                eighths: 4,
-            },
-        )),
-        (Algorithm::Mis, true) => drop(mis::run_traced::<Atomic>(gpu, graph, immediate)),
-        (Algorithm::Mst, false) => drop(mst::run_traced::<Volatile>(gpu, graph, deferred)),
-        (Algorithm::Mst, true) => drop(mst::run_traced::<Atomic>(gpu, graph, immediate)),
-        (Algorithm::Scc, false) => drop(scc::run_traced::<Plain>(gpu, graph, deferred)),
-        (Algorithm::Scc, true) => drop(scc::run_traced::<Atomic>(gpu, graph, immediate)),
-    }
 }
 
 /// A wheel-plus-chains graph built to witness every CC baseline race,
@@ -191,7 +154,7 @@ pub fn diff_algorithm(
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_seed(seed);
             gpu.enable_tracing();
-            run_traced_variant(&mut gpu, algorithm, variant, graph);
+            run_variant_on(&mut gpu, algorithm, variant, graph);
             for launch in &gpu.run_stats().launches {
                 launched.insert(launch.name.clone());
             }

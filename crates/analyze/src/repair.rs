@@ -45,16 +45,18 @@
 //! synthesized-vs-hand-written delta for free.
 
 use crate::check::{check_algorithm, check_contracts, Conflict};
-use crate::differential::{default_inputs, run_traced_variant};
+use crate::differential::default_inputs;
 use ecl_core::contracts::ir_for_algorithm;
-use ecl_core::primitives::IrDriven;
-use ecl_core::suite::{run_algorithm_checked, run_synthesized, Algorithm, Variant};
+use ecl_core::suite::{
+    run_algorithm_checked, run_on, run_synthesized, run_variant_on, Algorithm, SynthesizedFlavor,
+    Variant,
+};
 use ecl_core::SimOptions;
 use ecl_graph::inputs::{directed_catalog, undirected_catalog, GraphInput};
 use ecl_graph::Csr;
 use ecl_simt::{
     catch_sim, lower_all, AccessMode, Gpu, GpuConfig, KernelContract, KernelIr, ModeTable, OpKind,
-    OpWidth, StoreVisibility,
+    OpWidth,
 };
 use std::collections::BTreeSet;
 
@@ -172,7 +174,7 @@ pub fn dynamic_race_groups(
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_seed(seed);
             gpu.enable_tracing();
-            run_traced_variant(&mut gpu, algorithm, variant, graph);
+            run_variant_on(&mut gpu, algorithm, variant, graph);
             for report in ecl_racecheck::check_races(&gpu) {
                 let buffer = match report.allocation_name {
                     Some(name) => name,
@@ -398,7 +400,9 @@ pub fn verify(
             gpu.enable_tracing();
             gpu.install_contracts(repaired.contracts.iter().cloned());
             gpu.install_mode_table(repaired.mode_table.clone());
-            if let Err(e) = catch_sim(|| run_traced_synthesized(&mut gpu, algorithm, graph)) {
+            if let Err(e) =
+                catch_sim(|| drop(run_on::<SynthesizedFlavor>(&mut gpu, algorithm, graph)))
+            {
                 run_failures.push(format!("seed {seed}: {e}"));
                 continue;
             }
@@ -445,31 +449,6 @@ pub fn verify(
         dynamic_races,
         run_failures,
         comparisons,
-    }
-}
-
-/// Runs one algorithm's kernels under the `IrDriven` policy on a
-/// caller-provided GPU (tracing/sanitizer/mode table already armed) — the
-/// synthesized-variant analogue of
-/// [`crate::differential::run_traced_variant`]. Store visibility is
-/// `Immediate`, matching [`run_synthesized`].
-pub fn run_traced_synthesized(gpu: &mut Gpu, algorithm: Algorithm, graph: &Csr) {
-    use ecl_core::{apsp, cc, gc, mis, mst, scc};
-    let owned;
-    let graph = if algorithm.weighted() && graph.weights().is_none() {
-        owned = graph.clone().with_random_weights(1_000, 0xec1);
-        &owned
-    } else {
-        graph
-    };
-    let immediate = StoreVisibility::Immediate;
-    match algorithm {
-        Algorithm::Apsp => drop(apsp::run_traced(gpu, graph)),
-        Algorithm::Cc => drop(cc::run_traced::<IrDriven>(gpu, graph, immediate)),
-        Algorithm::Gc => drop(gc::run_traced::<IrDriven, IrDriven>(gpu, graph, immediate)),
-        Algorithm::Mis => drop(mis::run_traced::<IrDriven>(gpu, graph, immediate)),
-        Algorithm::Mst => drop(mst::run_traced::<IrDriven>(gpu, graph, immediate)),
-        Algorithm::Scc => drop(scc::run_traced::<IrDriven>(gpu, graph, immediate)),
     }
 }
 

@@ -9,9 +9,8 @@
 //! half of the story the static checker tells (the checker proves the
 //! declarations safe; the sanitizer proves the code stays within them).
 
-use crate::differential::run_traced_variant;
 use ecl_core::contracts::for_algorithm;
-use ecl_core::suite::{Algorithm, Variant};
+use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_graph::Csr;
 use ecl_simt::{catch_sim, Gpu, GpuConfig, SimError};
 
@@ -28,5 +27,5 @@ pub fn sanitize_run(
     let mut gpu = Gpu::new(cfg.clone());
     gpu.set_seed(seed);
     gpu.install_contracts(for_algorithm(algorithm, variant));
-    catch_sim(|| run_traced_variant(&mut gpu, algorithm, variant, graph))
+    catch_sim(|| drop(run_variant_on(&mut gpu, algorithm, variant, graph)))
 }

@@ -32,7 +32,6 @@ struct SeqCstAtomic;
 
 impl AccessPolicy for SeqCstAtomic {
     const NAME: &'static str = "seq_cst-atomic";
-    const IS_RACE_FREE: bool = true;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
 

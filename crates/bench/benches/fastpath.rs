@@ -74,7 +74,7 @@ fn bench_auto_dispatch(c: &mut Criterion) {
     group.bench_function("auto_fast", |b| {
         b.iter(|| {
             let mut gpu = Gpu::new(cfg.clone());
-            black_box(ecl_core::cc::run_traced::<ecl_core::primitives::Atomic>(
+            black_box(ecl_core::cc::run_on::<ecl_core::primitives::Atomic>(
                 &mut gpu,
                 &graph,
                 ecl_simt::StoreVisibility::Immediate,
@@ -85,7 +85,7 @@ fn bench_auto_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let mut gpu = Gpu::new(cfg.clone());
             gpu.enable_tracing();
-            black_box(ecl_core::cc::run_traced::<ecl_core::primitives::Atomic>(
+            black_box(ecl_core::cc::run_on::<ecl_core::primitives::Atomic>(
                 &mut gpu,
                 &graph,
                 ecl_simt::StoreVisibility::Immediate,

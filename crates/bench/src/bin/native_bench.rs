@@ -25,7 +25,9 @@
 
 use ecl_bench::export::Json;
 use ecl_bench::geomean;
-use ecl_core::suite::{Algorithm, Backend, NativeBackend, SimulatorBackend, Variant};
+use ecl_core::suite::{
+    with_suite_weights, Algorithm, Backend, NativeBackend, SimulatorBackend, Variant,
+};
 use ecl_core::SimOptions;
 use ecl_graph::gen::rmat;
 use ecl_graph::Csr;
@@ -139,7 +141,7 @@ fn main() {
         (1usize << 21, 7_500_000usize, 1_024usize, 8_192usize)
     };
     eprintln!("native_bench: generating rmat n={n} (~{m_requested} edges pre-mirror)...");
-    let g = rmat(n, m_requested, 0.57, 0.19, 0.19, true, 0x5eed).with_random_weights(1_000, 0xec1);
+    let g = with_suite_weights(rmat(n, m_requested, 0.57, 0.19, 0.19, true, 0x5eed));
     if !quick {
         assert!(
             g.num_edges() >= 10_000_000,
@@ -151,8 +153,7 @@ fn main() {
             "MST packed keys need < 2^26 stored edges"
         );
     }
-    let apsp_g =
-        rmat(apsp_n, apsp_m, 0.57, 0.19, 0.19, true, 0x5eed).with_random_weights(1_000, 0xec1);
+    let apsp_g = with_suite_weights(rmat(apsp_n, apsp_m, 0.57, 0.19, 0.19, true, 0x5eed));
 
     println!(
         "native_bench: backend={} threads={} mode={} reps={}",

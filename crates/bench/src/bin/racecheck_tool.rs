@@ -27,14 +27,13 @@
 //! or I/O error (unknown algorithm/input/mode, unreadable `--mtx` file).
 
 use ecl_bench::export::Json;
-use ecl_core::primitives::{Atomic, Plain, Volatile, VolatileReadPlainWrite};
-use ecl_core::{cc, gc, mis, mst, scc};
+use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_racecheck::{
     access_profile, check_races_bounded, check_races_hb, check_races_with_mode, format_profile,
     format_summary, BoundedDetection, BoundedFinding, ConflictPair, DetectorMode, RaceReport,
     RaceSite,
 };
-use ecl_simt::{Gpu, GpuConfig, StoreVisibility};
+use ecl_simt::{Gpu, GpuConfig};
 use std::process::ExitCode;
 
 fn site_json(s: &RaceSite) -> Json {
@@ -124,7 +123,7 @@ fn main() -> ExitCode {
     };
 
     // Input: a real .mtx file when given, else a catalog stand-in.
-    let (mut graph, input_label) = if mtx_path.is_empty() {
+    let (graph, input_label) = if mtx_path.is_empty() {
         let input = match ecl_graph::inputs::GraphInput::by_name(&input_name) {
             Some(i) => i,
             None => {
@@ -143,39 +142,18 @@ fn main() -> ExitCode {
             Err(e) => return usage_error(e.to_string()),
         }
     };
-    if matches!(alg.as_str(), "mst") && graph.weights().is_none() {
-        graph = graph.with_random_weights(1000, 0xec1);
-    }
-
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
     gpu.enable_tracing();
-    let racefree = variant == "race-free" || variant == "racefree";
-    let deferred = StoreVisibility::DeferUntilYield;
-    let immediate = StoreVisibility::Immediate;
-    match (alg.as_str(), racefree) {
-        ("cc", false) => drop(cc::run_traced::<Plain>(&mut gpu, &graph, deferred)),
-        ("cc", true) => drop(cc::run_traced::<Atomic>(&mut gpu, &graph, immediate)),
-        ("gc", false) => drop(gc::run_traced::<Volatile, Plain>(
-            &mut gpu, &graph, deferred,
-        )),
-        ("gc", true) => drop(gc::run_traced::<Atomic, Atomic>(
-            &mut gpu, &graph, immediate,
-        )),
-        ("mis", false) => drop(mis::run_traced::<VolatileReadPlainWrite>(
-            &mut gpu,
-            &graph,
-            StoreVisibility::DeferBounded {
-                every: 2,
-                eighths: 4,
-            },
-        )),
-        ("mis", true) => drop(mis::run_traced::<Atomic>(&mut gpu, &graph, immediate)),
-        ("mst", false) => drop(mst::run_traced::<Volatile>(&mut gpu, &graph, deferred)),
-        ("mst", true) => drop(mst::run_traced::<Atomic>(&mut gpu, &graph, immediate)),
-        ("scc", false) => drop(scc::run_traced::<Plain>(&mut gpu, &graph, deferred)),
-        ("scc", true) => drop(scc::run_traced::<Atomic>(&mut gpu, &graph, immediate)),
+    let algorithm = match Algorithm::parse(&alg) {
+        Some(a) if a != Algorithm::Apsp => a,
         _ => return usage_error(format!("unknown algorithm '{alg}' (cc|gc|mis|mst|scc)")),
-    }
+    };
+    let which = if variant == "race-free" || variant == "racefree" {
+        Variant::RaceFree
+    } else {
+        Variant::Baseline
+    };
+    run_variant_on(&mut gpu, algorithm, which, &graph);
 
     let trace_len = gpu.trace().map(|t| t.len()).unwrap_or(0);
     let detector_mode = match mode.as_str() {

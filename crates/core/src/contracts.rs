@@ -1,171 +1,37 @@
-//! Access contracts for every kernel in the suite.
+//! Access contracts for every kernel in the suite, lowered from the kernel
+//! IR.
 //!
-//! Each algorithm module declares, per kernel, the complete footprint its
-//! threads may touch (see [`ecl_simt::KernelContract`]): which buffers, in
-//! which [`ecl_simt::AccessMode`] and [`ecl_simt::AccessKind`], under which
-//! index discipline. The helpers here capture the access *shapes* the
-//! [`crate::primitives::AccessPolicy`] layer issues — a policy's `write_byte`
-//! is a byte-wide store in the baselines but a word-wide CAS loop in the
-//! race-free conversion (paper Figs. 3–4), and the contracts must match what
-//! the simulator actually records.
+//! Each algorithm module describes its kernels once, as access-level IR
+//! ([`ecl_simt::KernelIr`]): per kernel, every buffer it touches, in which
+//! [`ecl_simt::AccessMode`], width, and index discipline. The op builders
+//! here capture the access *shapes* the [`crate::primitives::AccessPolicy`]
+//! layer issues, and the modules assemble their `ir::<F>()` from them under
+//! the policies a [`Flavor`] names. The contracts (see
+//! [`ecl_simt::KernelContract`]) are the lowering of that IR
+//! ([`ecl_simt::lower_all`]), which is where a policy's `write_byte` becomes
+//! a byte-wide store in the baselines but a word-wide CAS loop in the
+//! race-free conversion (paper Figs. 3–4) — exactly what the simulator
+//! records. `output/GOLDEN_CONTRACTS.txt` holds a rendering of every entry
+//! of every lowered contract, and a tier-1 test compares against it, so any
+//! change to the contracts shows up in review.
 //!
-//! The contracts are consumed by two tools:
+//! The contracts are consumed by three tools:
 //!
 //! - `ecl-analyze` checks them statically (race-freedom proof for the
 //!   race-free variants, benign-race census for the baselines);
 //! - [`ecl_simt::Gpu::install_contracts`] enforces them dynamically,
-//!   failing any launch that touches memory outside its declaration.
+//!   failing any launch that touches memory outside its declaration;
+//! - the repair pass in `ecl-analyze` rewrites the IR's repairable ops and
+//!   re-lowers contracts for the synthesized variant.
 
 use crate::primitives::AccessPolicy;
-use crate::suite::{Algorithm, Variant};
+use crate::suite::{Algorithm, BaselineFlavor, Flavor, RaceFreeFlavor, Variant};
 use ecl_simt::BenignClass::{MonotonicUpdate, RePropagatedLostUpdate};
 use ecl_simt::IndexDiscipline::{self, OwnedByGlobalId, OwnedRange};
+use ecl_simt::{KernelContract, KernelIr};
 
-pub use ecl_simt::AccessKind::{Load, Rmw, Store};
-pub use ecl_simt::AccessMode;
 pub use ecl_simt::IndexDiscipline::Arbitrary;
-pub use ecl_simt::{AccessOp, BenignClass, FootprintEntry, KernelContract, KernelIr, OpWidth};
-
-/// Plain read-only loads of CSR structure arrays (row offsets, column
-/// indices, weights, edge sources): never written after upload, so any
-/// thread may read any element.
-pub fn csr_loads(buffers: &[&'static str]) -> Vec<FootprintEntry> {
-    buffers
-        .iter()
-        .map(|b| FootprintEntry::global(b, AccessMode::Plain, Load, Arbitrary))
-        .collect()
-}
-
-/// The `u32` load shape `P::read_u32` issues.
-pub fn word_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// The `u32` store shape `P::write_u32` issues.
-pub fn word_write<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::WRITE_MODE, Store, discipline)
-}
-
-/// The `u64` load shape `P::read_u64` issues. On devices without native
-/// 64-bit accesses the simulator splits plain/volatile loads into two word
-/// halves; an 8-byte element discipline maps both halves to the same element.
-pub fn word64_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// A device-scope atomic read-modify-write (counters, tickets, CAS hooks).
-pub fn atomic_rmw(buffer: &'static str) -> FootprintEntry {
-    FootprintEntry::global(buffer, AccessMode::Atomic, Rmw, Arbitrary)
-}
-
-/// The footprint of [`crate::common::union_find_rep`] over `buffer`: racy
-/// arbitrary-index reads plus path-shortening writes. Lost shortening
-/// updates are re-propagated by later hops (the paper's §VI-A benign race).
-pub fn union_find_rep_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    vec![
-        word_read::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
-        word_write::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
-    ]
-}
-
-/// The footprint of [`crate::common::union_find_hook`] over `buffer`:
-/// representative chasing plus the `atomicCAS` hook itself (atomic in both
-/// the baseline and the conversion, as in the ECL codes).
-pub fn union_find_hook_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    let mut entries = union_find_rep_entries::<P>(buffer);
-    entries.push(atomic_rmw(buffer));
-    entries
-}
-
-/// The byte-array load shape `P::read_byte` issues: a byte load in the
-/// baselines, a word-wide atomic load (Fig. 3b) in the conversion — which is
-/// why the race-free entries drop to `Arbitrary` (the word spans four
-/// threads' bytes).
-pub fn byte_read_entries<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![FootprintEntry::global(
-            buffer,
-            AccessMode::Atomic,
-            Load,
-            Arbitrary,
-        )]
-    } else {
-        vec![FootprintEntry::global(
-            buffer,
-            P::READ_MODE,
-            Load,
-            discipline,
-        )]
-    }
-}
-
-/// The byte-array store shape `P::write_byte` issues: a byte store in the
-/// baselines; in the conversion either one `atomicAnd` (zero bytes, Fig. 4b)
-/// or an atomic-load + CAS loop on the containing word.
-pub fn byte_write_entries<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![
-            FootprintEntry::global(buffer, AccessMode::Atomic, Load, Arbitrary),
-            FootprintEntry::global(buffer, AccessMode::Atomic, Rmw, Arbitrary),
-        ]
-    } else {
-        vec![FootprintEntry::global(
-            buffer,
-            P::WRITE_MODE,
-            Store,
-            discipline,
-        )]
-    }
-}
-
-/// The pair-half load shape `P::read_pair_first/second` issues (Fig. 5):
-/// a `u32` load of either half of the packed `u64`.
-pub fn pair_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// The pair-half monotonic max shape `P::max_pair_first/second` issues:
-/// a racy load + conditional store of one half in the baselines (lost maxima
-/// are re-propagated — monotone convergence), one `atomicMax` per half in
-/// the conversion.
-pub fn pair_max_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![
-            FootprintEntry::global(buffer, AccessMode::Atomic, Load, Arbitrary),
-            atomic_rmw(buffer),
-        ]
-    } else {
-        vec![
-            FootprintEntry::global(buffer, P::READ_MODE, Load, Arbitrary).benign(MonotonicUpdate),
-            FootprintEntry::global(buffer, P::WRITE_MODE, Store, Arbitrary).benign(MonotonicUpdate),
-        ]
-    }
-}
-
-/// The flag-raise shape `P::raise_flag` issues: a store of the constant 1 —
-/// idempotent however the racing writers interleave.
-pub fn flag_raise<P: AccessPolicy>(buffer: &'static str) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::WRITE_MODE, Store, Arbitrary)
-        .benign(ecl_simt::BenignClass::IdempotentWrite)
-}
+pub use ecl_simt::{AccessMode, AccessOp, OpWidth};
 
 /// Grid-stride ownership of 4-byte elements (non-chunked `ForEach`: item
 /// index equals element index, so `element % num_threads == global_id`).
@@ -199,169 +65,122 @@ pub fn claim1() -> IndexDiscipline {
     OwnedRange { elem_bytes: 1 }
 }
 
-// ---------------------------------------------------------------------------
-// IR op builders: the same access shapes as the entry helpers above, but as
-// `ecl_simt::AccessOp`s. Each algorithm module's `ir()` assembles its kernels
-// from these; `contracts()` is the lowering of that IR, and the repair pass
-// in `ecl-analyze` rewrites the IR's repairable ops. The entry helpers above
-// stay as the ground truth the lowering is pinned against (see the
-// `ir_lowering_matches_hand_written_contracts` test).
-
-/// IR ops for plain read-only loads of CSR structure arrays. Hard-coded
-/// plain in the kernel bodies (never policy-mediated), hence fixed.
-pub fn ir_csr_loads(buffers: &[&'static str]) -> Vec<AccessOp> {
+/// Plain read-only loads of CSR structure arrays (row offsets, column
+/// indices, weights, edge sources): never written after upload, so any
+/// thread may read any element. Hard-coded plain in the kernel bodies
+/// (never policy-mediated), hence fixed.
+pub fn csr_loads(buffers: &[&'static str]) -> Vec<AccessOp> {
     buffers
         .iter()
         .map(|b| AccessOp::load(b, OpWidth::B4, AccessMode::Plain, Arbitrary).fixed())
         .collect()
 }
 
-/// The IR op for `P::read_u32`.
-pub fn ir_word_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The `u32` load `P::read_u32` issues.
+pub fn word_read<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::load(buffer, OpWidth::B4, P::READ_MODE, discipline)
 }
 
-/// The IR op for `P::write_u32`.
-pub fn ir_word_write<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The `u32` store `P::write_u32` issues.
+pub fn word_write<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::store(buffer, OpWidth::B4, P::WRITE_MODE, discipline)
 }
 
-/// The IR op for `P::read_u64`.
-pub fn ir_word64_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The `u64` load `P::read_u64` issues. On devices without native 64-bit
+/// accesses the simulator splits plain/volatile loads into two word halves;
+/// an 8-byte element discipline maps both halves to the same element.
+pub fn word64_read<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::load(buffer, OpWidth::B8, P::READ_MODE, discipline)
 }
 
-/// The IR op for a device-scope atomic read-modify-write.
-pub fn ir_atomic_rmw(buffer: &'static str) -> AccessOp {
+/// A device-scope atomic read-modify-write (counters, tickets, CAS hooks).
+pub fn atomic_rmw(buffer: &'static str) -> AccessOp {
     AccessOp::rmw(buffer)
 }
 
-/// The IR ops for [`crate::common::union_find_rep`] over `buffer`.
-pub fn ir_union_find_rep<P: AccessPolicy>(buffer: &'static str) -> Vec<AccessOp> {
+/// The accesses of [`crate::common::union_find_rep`] over `buffer`: racy
+/// arbitrary-index reads plus path-shortening writes. Lost shortening
+/// updates are re-propagated by later hops (the paper's §VI-A benign race).
+pub fn union_find_rep<P: AccessPolicy>(buffer: &'static str) -> Vec<AccessOp> {
     vec![
-        ir_word_read::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
-        ir_word_write::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
+        word_read::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
+        word_write::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
     ]
 }
 
-/// The IR ops for [`crate::common::union_find_hook`] over `buffer`.
-pub fn ir_union_find_hook<P: AccessPolicy>(buffer: &'static str) -> Vec<AccessOp> {
-    let mut ops = ir_union_find_rep::<P>(buffer);
-    ops.push(ir_atomic_rmw(buffer));
+/// The accesses of [`crate::common::union_find_hook`] over `buffer`:
+/// representative chasing plus the `atomicCAS` hook itself (atomic in both
+/// the baseline and the conversion, as in the ECL codes).
+pub fn union_find_hook<P: AccessPolicy>(buffer: &'static str) -> Vec<AccessOp> {
+    let mut ops = union_find_rep::<P>(buffer);
+    ops.push(atomic_rmw(buffer));
     ops
 }
 
-/// The IR op for `P::read_byte`: lowering widens an atomic-mode byte load
-/// to the containing word (Fig. 3b), which is why the race-free contract
-/// entries are `Arbitrary`.
-pub fn ir_byte_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The byte-array load `P::read_byte` issues: lowering widens an
+/// atomic-mode byte load to the containing word (Fig. 3b), which is why the
+/// race-free contract entries are `Arbitrary` (the word spans four threads'
+/// bytes).
+pub fn byte_read<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::load(buffer, OpWidth::B1, P::READ_MODE, discipline)
 }
 
-/// The IR op for `P::write_byte`: lowering expands an atomic-mode byte
-/// store to the word-wide `atomicAnd`/CAS-loop pair (Fig. 4b).
-pub fn ir_byte_write<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The byte-array store `P::write_byte` issues: lowering expands an
+/// atomic-mode byte store to one `atomicAnd` (zero bytes, Fig. 4b) or an
+/// atomic-load + CAS loop on the containing word.
+pub fn byte_write<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::store(buffer, OpWidth::B1, P::WRITE_MODE, discipline)
 }
 
-/// The IR op for `P::read_pair_first/second` (Fig. 5).
-pub fn ir_pair_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> AccessOp {
+/// The pair-half load `P::read_pair_first/second` issues (Fig. 5): a `u32`
+/// load of either half of the packed `u64`.
+pub fn pair_read<P: AccessPolicy>(buffer: &'static str, discipline: IndexDiscipline) -> AccessOp {
     AccessOp::load(buffer, OpWidth::Pair, P::READ_MODE, discipline)
 }
 
-/// The IR op for `P::max_pair_first/second`: the monotone half-word max.
-pub fn ir_pair_max<P: AccessPolicy>(buffer: &'static str) -> AccessOp {
+/// The pair-half monotonic max `P::max_pair_first/second` issues: a racy
+/// load + conditional store of one half in the baselines (lost maxima are
+/// re-propagated — monotone convergence), one `atomicMax` per half in the
+/// conversion.
+pub fn pair_max<P: AccessPolicy>(buffer: &'static str) -> AccessOp {
     AccessOp::update(buffer, OpWidth::Pair, P::WRITE_MODE).benign(MonotonicUpdate)
 }
 
-/// The IR op for `P::raise_flag`.
-pub fn ir_flag_raise<P: AccessPolicy>(buffer: &'static str) -> AccessOp {
+/// The flag raise `P::raise_flag` issues: a store of the constant 1 —
+/// idempotent however the racing writers interleave.
+pub fn flag_raise<P: AccessPolicy>(buffer: &'static str) -> AccessOp {
     AccessOp::flag(buffer, P::WRITE_MODE)
 }
 
-/// The full contract set for one algorithm × variant, keyed on the canonical
-/// policy/visibility mapping the suite and the race-detection tools use.
-/// Bit-identical to the lowering of [`ir_for_algorithm`] — pinned by the
-/// `ir_lowering_matches_hand_written_contracts` test, so the IR and the
-/// hand-written declarations can never drift apart silently.
+/// The full contract set for one algorithm × variant: the lowering of
+/// [`ir_for_algorithm`].
 pub fn for_algorithm(algorithm: Algorithm, variant: Variant) -> Vec<KernelContract> {
-    let race_free = variant == Variant::RaceFree;
-    match algorithm {
-        Algorithm::Apsp => crate::apsp::contracts(),
-        Algorithm::Cc => crate::cc::contracts(race_free),
-        Algorithm::Gc => crate::gc::contracts(race_free),
-        Algorithm::Mis => crate::mis::contracts(race_free),
-        Algorithm::Mst => crate::mst::contracts(race_free),
-        Algorithm::Scc => crate::scc::contracts(race_free),
+    ecl_simt::lower_all(&ir_for_algorithm(algorithm, variant))
+}
+
+/// The access-level kernel IR for one algorithm × variant, under the
+/// policies of the variant's [`Flavor`].
+pub fn ir_for_algorithm(algorithm: Algorithm, variant: Variant) -> Vec<KernelIr> {
+    match variant {
+        Variant::Baseline => ir::<BaselineFlavor>(algorithm),
+        Variant::RaceFree => ir::<RaceFreeFlavor>(algorithm),
     }
 }
 
-/// The access-level kernel IR for one algorithm × variant under the same
-/// canonical policy mapping as [`for_algorithm`].
-pub fn ir_for_algorithm(algorithm: Algorithm, variant: Variant) -> Vec<KernelIr> {
-    let race_free = variant == Variant::RaceFree;
+fn ir<F: Flavor>(algorithm: Algorithm) -> Vec<KernelIr> {
     match algorithm {
         Algorithm::Apsp => crate::apsp::ir(),
-        Algorithm::Cc => crate::cc::ir(race_free),
-        Algorithm::Gc => crate::gc::ir(race_free),
-        Algorithm::Mis => crate::mis::ir(race_free),
-        Algorithm::Mst => crate::mst::ir(race_free),
-        Algorithm::Scc => crate::scc::ir(race_free),
+        Algorithm::Cc => crate::cc::ir::<F>(),
+        Algorithm::Gc => crate::gc::ir::<F>(),
+        Algorithm::Mis => crate::mis::ir::<F>(),
+        Algorithm::Mst => crate::mst::ir::<F>(),
+        Algorithm::Scc => crate::scc::ir::<F>(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primitives::{Atomic, Plain};
-
-    #[test]
-    fn race_free_byte_writes_are_word_wide_atomics() {
-        let entries = byte_write_entries::<Atomic>("s", own1());
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| e.mode == AccessMode::Atomic));
-        let plain = byte_write_entries::<Plain>("s", own1());
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].kind, Store);
-        assert_eq!(plain[0].discipline, own1());
-    }
-
-    #[test]
-    fn ir_lowering_matches_hand_written_contracts() {
-        // The bit-identity pin: for every algorithm × variant, lowering the
-        // access-level IR must reproduce the hand-written contract set
-        // exactly — same kernels, same entries, same order. This is what
-        // lets the repair pass emit trustworthy contracts for synthesized
-        // variants by lowering the repaired IR.
-        for alg in Algorithm::ALL {
-            for variant in [Variant::Baseline, Variant::RaceFree] {
-                let hand = for_algorithm(alg, variant);
-                let lowered = ecl_simt::lower_all(&ir_for_algorithm(alg, variant));
-                assert_eq!(
-                    hand, lowered,
-                    "{alg:?} {variant:?}: IR lowering diverged from the hand-written contracts"
-                );
-            }
-        }
-    }
 
     #[test]
     fn repairable_ops_are_exactly_the_policy_mediated_sites() {

@@ -20,17 +20,10 @@ fn higher_priority(deg_u: u32, u: u32, deg_v: u32, v: u32) -> bool {
 /// shortcut bookkeeping (`minposs`): the baseline reads colors through
 /// `volatile` pointers but keeps the shortcut state in plain accesses,
 /// which is exactly the split the race-free conversion removes.
-pub(super) fn run_on<P: AccessPolicy, Q: AccessPolicy>(
-    gpu: &mut Gpu,
-    dg: &DeviceGraph,
-    visibility: StoreVisibility,
-) -> DeviceBuffer<u32> {
-    run_on_with::<P, Q>(gpu, dg, visibility, true)
-}
-
-/// Like [`run_on`], with the ECL-GC shortcuts optionally disabled — the
-/// ablation that isolates what the shortcutting optimization buys (the
-/// ECL-GC paper's 2.9x parallelism claim).
+///
+/// `shortcuts == false` disables the ECL-GC shortcuts — the ablation that
+/// isolates what the shortcutting optimization buys (the ECL-GC paper's
+/// 2.9x parallelism claim).
 pub(super) fn run_on_with<P: AccessPolicy, Q: AccessPolicy>(
     gpu: &mut Gpu,
     dg: &DeviceGraph,

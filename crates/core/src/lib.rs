@@ -12,7 +12,9 @@
 //! and instantiating it with [`primitives::Plain`], [`primitives::Volatile`],
 //! or [`primitives::Atomic`] yields the baseline or race-free executable —
 //! exactly how the authors produced their race-free codes by swapping access
-//! macros.
+//! macros. [`suite::Flavor`] names, once, which policy each variant
+//! instantiates per algorithm, and each module's `ir` describes the same
+//! accesses as data, from which [`contracts`] lowers the access contracts.
 //!
 //! | Algorithm | Module | Baseline access | Notes |
 //! |---|---|---|---|

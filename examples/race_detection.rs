@@ -26,8 +26,8 @@ fn main() {
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
     gpu.enable_tracing();
     let baseline_races = {
-        let result = cc::run_traced::<Plain>(&mut gpu, &graph, StoreVisibility::DeferUntilYield);
-        assert!(cc::verify_components(&graph, &result));
+        let result = cc::run_on::<Plain>(&mut gpu, &graph, StoreVisibility::DeferUntilYield);
+        assert!(cc::verify_components(&graph, &result.labels));
         check_races(&gpu)
     };
     println!(
@@ -61,8 +61,8 @@ fn main() {
     // The race-free conversion is clean.
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
     gpu.enable_tracing();
-    let result = cc::run_traced::<Atomic>(&mut gpu, &graph, StoreVisibility::Immediate);
-    assert!(cc::verify_components(&graph, &result));
+    let result = cc::run_on::<Atomic>(&mut gpu, &graph, StoreVisibility::Immediate);
+    assert!(cc::verify_components(&graph, &result.labels));
     let free_races = check_races(&gpu);
     println!("\nrace-free CC: {} race report(s)", free_races.len());
     assert!(free_races.is_empty(), "the conversion must be race-free");
@@ -70,7 +70,7 @@ fn main() {
     // Same story for MIS, whose baseline races on the packed status bytes.
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
     gpu.enable_tracing();
-    mis::run_traced::<ecl_core::primitives::VolatileReadPlainWrite>(
+    mis::run_on::<ecl_core::primitives::VolatileReadPlainWrite>(
         &mut gpu,
         &graph,
         StoreVisibility::DeferBounded {

@@ -12,6 +12,7 @@
 //! launch where the two paths split.
 
 use ecl_core::primitives::{Atomic, Plain, Volatile, VolatileReadPlainWrite};
+use ecl_core::suite::with_suite_weights;
 use ecl_core::{apsp, cc, gc, mis, mst, scc};
 use ecl_graph::gen::rmat;
 use ecl_graph::Csr;
@@ -41,30 +42,34 @@ fn fnvb(flags: &[bool]) -> u64 {
 }
 
 /// Runs one algorithm × variant on a caller-provided GPU with the canonical
-/// policy/visibility mapping (the same mapping the differential harness and
-/// sweep matrix use); returns a bit-exact digest of the kernel result.
+/// policy/visibility mapping (spelled out here rather than taken from
+/// `ecl_core::suite`, because the digest covers the raw solution vectors);
+/// returns a bit-exact digest of the kernel result.
 fn run_combo(gpu: &mut Gpu, algorithm: &str, race_free: bool, graph: &Csr) -> u64 {
     let deferred = StoreVisibility::DeferUntilYield;
     let immediate = StoreVisibility::Immediate;
     match (algorithm, race_free) {
-        ("apsp", _) => fnv32(&apsp::run_traced(gpu, graph)),
-        ("cc", false) => fnv32(&cc::run_traced::<Plain>(gpu, graph, deferred)),
-        ("cc", true) => fnv32(&cc::run_traced::<Atomic>(gpu, graph, immediate)),
-        ("gc", false) => fnv32(&gc::run_traced::<Volatile, Plain>(gpu, graph, deferred)),
-        ("gc", true) => fnv32(&gc::run_traced::<Atomic, Atomic>(gpu, graph, immediate)),
-        ("mis", false) => fnvb(&mis::run_traced::<VolatileReadPlainWrite>(
-            gpu,
-            graph,
-            StoreVisibility::DeferBounded {
-                every: 2,
-                eighths: 4,
-            },
-        )),
-        ("mis", true) => fnvb(&mis::run_traced::<Atomic>(gpu, graph, immediate)),
-        ("mst", false) => fnvb(&mst::run_traced::<Volatile>(gpu, graph, deferred)),
-        ("mst", true) => fnvb(&mst::run_traced::<Atomic>(gpu, graph, immediate)),
-        ("scc", false) => fnv32(&scc::run_traced::<Plain>(gpu, graph, deferred)),
-        ("scc", true) => fnv32(&scc::run_traced::<Atomic>(gpu, graph, immediate)),
+        ("apsp", _) => fnv32(&apsp::run_on(gpu, graph).dist),
+        ("cc", false) => fnv32(&cc::run_on::<Plain>(gpu, graph, deferred).labels),
+        ("cc", true) => fnv32(&cc::run_on::<Atomic>(gpu, graph, immediate).labels),
+        ("gc", false) => fnv32(&gc::run_on::<Volatile, Plain>(gpu, graph, deferred).colors),
+        ("gc", true) => fnv32(&gc::run_on::<Atomic, Atomic>(gpu, graph, immediate).colors),
+        ("mis", false) => fnvb(
+            &mis::run_on::<VolatileReadPlainWrite>(
+                gpu,
+                graph,
+                StoreVisibility::DeferBounded {
+                    every: 2,
+                    eighths: 4,
+                },
+            )
+            .in_set,
+        ),
+        ("mis", true) => fnvb(&mis::run_on::<Atomic>(gpu, graph, immediate).in_set),
+        ("mst", false) => fnvb(&mst::run_on::<Volatile>(gpu, graph, immediate).in_mst),
+        ("mst", true) => fnvb(&mst::run_on::<Atomic>(gpu, graph, immediate).in_mst),
+        ("scc", false) => fnv32(&scc::run_on::<Plain>(gpu, graph, deferred).scc_ids),
+        ("scc", true) => fnv32(&scc::run_on::<Atomic>(gpu, graph, immediate).scc_ids),
         _ => unreachable!("unknown combo {algorithm}/{race_free}"),
     }
 }
@@ -138,7 +143,7 @@ fn unit_graph(symmetric: bool) -> Csr {
 }
 
 fn weighted_graph() -> Csr {
-    unit_graph(true).with_random_weights(1_000, 0xec1)
+    with_suite_weights(unit_graph(true))
 }
 
 fn presets() -> Vec<GpuConfig> {

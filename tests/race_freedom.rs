@@ -4,81 +4,66 @@
 //! runner's guarantee that racy and converted codes alike survive fault
 //! injection without panicking the harness.
 
-use ecl_core::primitives::{Atomic, Plain, Volatile, VolatileReadPlainWrite};
-use ecl_core::suite::{run_resilient, Algorithm, RetryPolicy, RunOutcome, Variant};
-use ecl_core::{cc, gc, mis, mst, scc, SimOptions};
+use ecl_core::suite::{run_resilient, run_variant_on, Algorithm, RetryPolicy, RunOutcome, Variant};
+use ecl_core::SimOptions;
+use ecl_graph::Csr;
 use ecl_racecheck::{check_races, check_races_hb};
-use ecl_simt::{FaultPlan, Gpu, GpuConfig, MemLevel, StoreVisibility};
+use ecl_simt::{FaultPlan, Gpu, GpuConfig, MemLevel};
 
-fn traced_gpu() -> Gpu {
+/// Runs `algorithm`/`variant` on a traced GPU through the suite's dispatch
+/// (the canonical policy/visibility mapping) and returns the GPU.
+fn traced(algorithm: Algorithm, variant: Variant, graph: &Csr) -> Gpu {
     let mut gpu = Gpu::new(GpuConfig::test_tiny());
     gpu.enable_tracing();
+    run_variant_on(&mut gpu, algorithm, variant, graph);
     gpu
 }
 
-fn undirected() -> ecl_graph::Csr {
+fn assert_baseline_races_racefree_does_not(algorithm: Algorithm, graph: &Csr) {
+    let base = traced(algorithm, Variant::Baseline, graph);
+    assert!(
+        !check_races(&base).is_empty(),
+        "baseline {algorithm} must race"
+    );
+    let free = traced(algorithm, Variant::RaceFree, graph);
+    assert!(
+        check_races(&free).is_empty(),
+        "race-free {algorithm} must be clean"
+    );
+}
+
+fn undirected() -> Csr {
     ecl_graph::gen::rmat(192, 768, 0.5, 0.2, 0.2, true, 11)
 }
 
-fn directed() -> ecl_graph::Csr {
+fn directed() -> Csr {
     ecl_graph::gen::toroid_wedge(8, 8)
 }
 
 #[test]
 fn baseline_cc_races_racefree_does_not() {
-    let g = undirected();
-    let mut gpu = traced_gpu();
-    cc::run_traced::<Plain>(&mut gpu, &g, StoreVisibility::DeferUntilYield);
-    assert!(!check_races(&gpu).is_empty(), "baseline CC must race");
-
-    let mut gpu = traced_gpu();
-    cc::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
-    assert!(check_races(&gpu).is_empty(), "race-free CC must be clean");
+    assert_baseline_races_racefree_does_not(Algorithm::Cc, &undirected());
 }
 
 #[test]
 fn baseline_mis_races_racefree_does_not() {
-    let g = undirected();
-    let mut gpu = traced_gpu();
-    mis::run_traced::<VolatileReadPlainWrite>(
-        &mut gpu,
-        &g,
-        StoreVisibility::DeferBounded {
-            every: 2,
-            eighths: 4,
-        },
-    );
-    assert!(!check_races(&gpu).is_empty(), "baseline MIS must race");
-
-    let mut gpu = traced_gpu();
-    mis::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
-    assert!(check_races(&gpu).is_empty(), "race-free MIS must be clean");
+    assert_baseline_races_racefree_does_not(Algorithm::Mis, &undirected());
 }
 
 #[test]
 fn baseline_gc_races_racefree_does_not() {
-    let g = undirected();
-    // GC has no run_traced helper; drive the suite-level kernels through a
-    // traced GPU by replicating the policy pair used by the suite.
-    let mut gpu = traced_gpu();
-    gc::run_traced::<Volatile, Plain>(&mut gpu, &g, StoreVisibility::DeferUntilYield);
-    assert!(!check_races(&gpu).is_empty(), "baseline GC must race");
-
-    let mut gpu = traced_gpu();
-    gc::run_traced::<Atomic, Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
-    assert!(check_races(&gpu).is_empty(), "race-free GC must be clean");
+    assert_baseline_races_racefree_does_not(Algorithm::Gc, &undirected());
 }
 
 #[test]
 fn baseline_mst_races_racefree_does_not() {
     let g = undirected().with_random_weights(100, 1);
-    let mut gpu = traced_gpu();
-    mst::run_traced::<Volatile>(&mut gpu, &g, StoreVisibility::DeferUntilYield);
-    assert!(!check_races(&gpu).is_empty(), "baseline MST must race");
+    assert_baseline_races_racefree_does_not(Algorithm::Mst, &g);
+}
 
-    let mut gpu = traced_gpu();
-    mst::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
-    assert!(check_races(&gpu).is_empty(), "race-free MST must be clean");
+#[test]
+fn baseline_scc_races_racefree_does_not() {
+    assert_baseline_races_racefree_does_not(Algorithm::Scc, &directed());
 }
 
 #[test]
@@ -87,20 +72,17 @@ fn epoch_and_happens_before_detectors_agree_on_ecl_codes() {
     // happens-before edges — so the precise vector-clock detector finds
     // races exactly where the epoch detector does, on both variants.
     let g = undirected();
-    let mut gpu = traced_gpu();
-    cc::run_traced::<Plain>(&mut gpu, &g, StoreVisibility::DeferUntilYield);
+    let gpu = traced(Algorithm::Cc, Variant::Baseline, &g);
     assert_eq!(
         check_races(&gpu).is_empty(),
         check_races_hb(&gpu).is_empty()
     );
     assert!(!check_races_hb(&gpu).is_empty());
 
-    let mut gpu = traced_gpu();
-    cc::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
+    let gpu = traced(Algorithm::Cc, Variant::RaceFree, &g);
     assert!(check_races_hb(&gpu).is_empty());
 
-    let mut gpu = traced_gpu();
-    mis::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
+    let gpu = traced(Algorithm::Mis, Variant::RaceFree, &g);
     assert!(check_races_hb(&gpu).is_empty());
 }
 
@@ -113,14 +95,7 @@ fn resilient_runner_handles_both_variants_of_every_code() {
     let cfg = GpuConfig::test_tiny();
     let clean = SimOptions::default();
     let policy = RetryPolicy::default();
-    for alg in [
-        Algorithm::Apsp,
-        Algorithm::Cc,
-        Algorithm::Gc,
-        Algorithm::Mis,
-        Algorithm::Mst,
-        Algorithm::Scc,
-    ] {
+    for alg in Algorithm::ALL {
         let g = if alg.directed() { &dir } else { &und };
         for variant in [Variant::Baseline, Variant::RaceFree] {
             let outcome = run_resilient(alg, variant, g, &cfg, 1, &clean, &policy);
@@ -157,16 +132,4 @@ fn resilient_runner_contains_aggressive_faults() {
             }
         }
     }
-}
-
-#[test]
-fn baseline_scc_races_racefree_does_not() {
-    let g = directed();
-    let mut gpu = traced_gpu();
-    scc::run_traced::<Plain>(&mut gpu, &g, StoreVisibility::DeferUntilYield);
-    assert!(!check_races(&gpu).is_empty(), "baseline SCC must race");
-
-    let mut gpu = traced_gpu();
-    scc::run_traced::<Atomic>(&mut gpu, &g, StoreVisibility::Immediate);
-    assert!(check_races(&gpu).is_empty(), "race-free SCC must be clean");
 }
