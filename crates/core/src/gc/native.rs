@@ -1,6 +1,6 @@
 //! ECL-GC on host threads: Jones-Plassmann largest-degree-first with both
 //! ECL-GC shortcuts, rounds driven over a double-buffered uncolored
-//! worklist instead of host-relaunched full sweeps.
+//! frontier instead of host-relaunched full sweeps.
 //!
 //! The shortcuts make the exact coloring timing-dependent (as in real
 //! ECL-GC), so the cross-backend digest hashes only validity; the
@@ -8,7 +8,7 @@
 
 use crate::common::Digest;
 use ecl_graph::Csr;
-use ecl_native::{run_team, NativePolicy, WordArr, Worklist};
+use ecl_native::{run_team, Frontier, NativePolicy, WordArr};
 
 use super::{verify_coloring, GcResult, NO_COLOR};
 
@@ -113,41 +113,40 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> GcResult {
 
     let colors = WordArr::new(n, 0);
     let minposs = WordArr::new(n, 0);
-    let a = Worklist::new(threads);
-    let b = Worklist::new(threads);
+    let a = Frontier::new(n);
+    let b = Frontier::new(n);
 
     run_team(threads, seed, |ctx| {
         {
-            let mut h = a.handle(ctx.tid);
+            let mut out = a.pusher();
             for v in ctx.my_block(n) {
                 P::store_u32(colors.at(v), NO_COLOR);
                 P::store_u32(minposs.at(v), 0);
-                h.push(v as u64);
+                out.push(v as u32);
             }
-            h.flush();
         }
         ctx.barrier();
 
         let (mut cur, mut next) = (&a, &b);
         loop {
             {
-                let mut hc = cur.handle(ctx.tid);
-                let mut hn = next.handle(ctx.tid);
-                while let Some(chunk) = hc.pop_chunk() {
-                    for item in chunk {
-                        let v = item as u32;
+                let mut out = next.pusher();
+                while let Some(chunk) = cur.grab() {
+                    for v in chunk {
                         if P::load_u32(colors.at(v as usize)) == NO_COLOR
                             && !try_color::<P>(row, col, &colors, &minposs, v)
                         {
-                            hn.push(item);
+                            out.push(v);
                         }
                     }
                 }
-                hn.flush();
             }
             ctx.barrier();
             if next.is_empty() {
                 break;
+            }
+            if ctx.tid == 0 {
+                cur.clear();
             }
             std::mem::swap(&mut cur, &mut next);
             ctx.barrier();

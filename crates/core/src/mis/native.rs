@@ -1,5 +1,5 @@
 //! ECL-MIS on host threads: the identical priority-ordered decision rule,
-//! driven round-by-round over a double-buffered undecided worklist instead
+//! driven round-by-round over a double-buffered undecided frontier instead
 //! of the persistent-thread polling kernel.
 //!
 //! The `(priority, id)` total order makes the found set unique (see the
@@ -8,7 +8,7 @@
 
 use crate::common::Digest;
 use ecl_graph::Csr;
-use ecl_native::{run_team, ByteArr, NativePolicy, Worklist};
+use ecl_native::{run_team, ByteArr, Frontier, NativePolicy};
 
 use super::{priority, MisResult, IN, OUT};
 
@@ -57,19 +57,18 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MisResult {
     let col = g.col_indices();
 
     let statuses = ByteArr::new(n, 0);
-    let a = Worklist::new(threads);
-    let b = Worklist::new(threads);
+    let a = Frontier::new(n);
+    let b = Frontier::new(n);
 
     run_team(threads, seed, |ctx| {
         // Init: every vertex gets its priority byte and enters round 0.
         {
-            let mut h = a.handle(ctx.tid);
+            let mut out = a.pusher();
             for v in ctx.my_block(n) {
                 let deg = row[v + 1] - row[v];
                 P::store_u8(statuses.at(v), priority(v as u32, deg));
-                h.push(v as u64);
+                out.push(v as u32);
             }
-            h.flush();
         }
         ctx.barrier();
 
@@ -78,22 +77,22 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MisResult {
         let (mut cur, mut next) = (&a, &b);
         loop {
             {
-                let mut hc = cur.handle(ctx.tid);
-                let mut hn = next.handle(ctx.tid);
-                while let Some(chunk) = hc.pop_chunk() {
-                    for item in chunk {
-                        let v = item as u32;
+                let mut out = next.pusher();
+                while let Some(chunk) = cur.grab() {
+                    for v in chunk {
                         let sv = P::load_u8(statuses.at(v as usize));
                         if sv >= 2 && !try_decide::<P>(row, col, &statuses, v, sv) {
-                            hn.push(item);
+                            out.push(v);
                         }
                     }
                 }
-                hn.flush();
             }
             ctx.barrier();
             if next.is_empty() {
                 break;
+            }
+            if ctx.tid == 0 {
+                cur.clear();
             }
             std::mem::swap(&mut cur, &mut next);
             ctx.barrier();

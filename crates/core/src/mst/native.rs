@@ -1,5 +1,5 @@
 //! ECL-MST on host threads: data-driven Borůvka where the still-active
-//! cross-component edges live in a double-buffered worklist (instead of
+//! cross-component edges live in a double-buffered frontier (instead of
 //! re-scanning every edge each round) and the per-component connect step is
 //! ticket-dispatched.
 //!
@@ -9,7 +9,7 @@
 
 use crate::common::Digest;
 use ecl_graph::Csr;
-use ecl_native::{run_team, ByteArr, LongArr, NativePolicy, Tickets, WordArr, Worklist};
+use ecl_native::{run_team, ByteArr, Frontier, LongArr, NativePolicy, Tickets, WordArr};
 
 use super::MstResult;
 
@@ -68,19 +68,21 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MstResult {
     let in_mst = ByteArr::new(m.max(1), 0);
     let changed = WordArr::new(1, 0);
     let connect = Tickets::new(n, 512);
-    let a = Worklist::new(threads);
-    let b = Worklist::new(threads);
+    // Only each undirected edge's u < v half is ever active, so that count
+    // bounds every round (sizing by `m` would double the buffers).
+    let halves = (0..m).filter(|&e| edge_src[e] < col[e]).count();
+    let a = Frontier::new(halves);
+    let b = Frontier::new(halves);
 
     run_team(threads, seed, |ctx| {
         // Seed the active-edge list with each undirected edge's u < v half.
         {
-            let mut h = a.handle(ctx.tid);
+            let mut out = a.pusher();
             for e in ctx.my_block(m) {
                 if edge_src[e] < col[e] {
-                    h.push(e as u64);
+                    out.push(e as u32);
                 }
             }
-            h.flush();
         }
         ctx.barrier();
 
@@ -89,11 +91,9 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MstResult {
             // Part 1: every still-cross-component edge bids for both
             // endpoint components' best slots; settled edges drop out.
             {
-                let mut hc = cur.handle(ctx.tid);
-                let mut hn = next.handle(ctx.tid);
-                while let Some(chunk) = hc.pop_chunk() {
-                    for item in chunk {
-                        let e = item as u32;
+                let mut out = next.pusher();
+                while let Some(chunk) = cur.grab() {
+                    for e in chunk {
                         let u = edge_src[e as usize];
                         let v = col[e as usize];
                         let ru = rep::<P>(&parent, u);
@@ -104,10 +104,9 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MstResult {
                         let key = pack(weights[e as usize], e);
                         P::fetch_min_u64(best.at(ru as usize), key);
                         P::fetch_min_u64(best.at(rv as usize), key);
-                        hn.push(item);
+                        out.push(e);
                     }
                 }
-                hn.flush();
             }
             ctx.barrier();
 
@@ -148,11 +147,12 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> MstResult {
             if done {
                 break;
             }
-            std::mem::swap(&mut cur, &mut next);
             if ctx.tid == 0 {
                 P::store_u32(changed.at(0), 0);
                 connect.reset();
+                cur.clear();
             }
+            std::mem::swap(&mut cur, &mut next);
             ctx.barrier();
         }
     });

@@ -1,13 +1,13 @@
 //! ECL-SCC on host threads: the same max-ID propagation with the unsettled
-//! vertices collected through the native worklist into a frontier array
-//! each outer round, so inner propagation passes only touch live vertices.
+//! vertices collected into a native frontier each outer round, so inner
+//! propagation passes only touch live vertices.
 //!
 //! The SCC partition is a unique graph property, so the canonical partition
 //! digest matches the simulator's for every thread count and interleaving.
 
 use crate::common::partition_digest;
 use ecl_graph::Csr;
-use ecl_native::{run_team, LongArr, NativePolicy, WordArr, Worklist};
+use ecl_native::{run_team, Frontier, LongArr, NativePolicy, WordArr};
 
 use super::SccResult;
 
@@ -24,55 +24,40 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> SccResult {
     // v+1 so 0 means "none". scc_ids[v]: 0 = unsettled, else pivot id + 1.
     let pairs = LongArr::new(n, 0);
     let scc_ids = WordArr::new(n, 0);
-    let frontier = WordArr::new(n, 0);
-    let flen_ctr = WordArr::new(1, 0);
+    let frontier = Frontier::new(n);
     let repeat = WordArr::new(1, 0);
     let settled_ctr = WordArr::new(1, 0);
-    let wl = Worklist::new(threads);
 
     run_team(threads, seed, |ctx| {
         let mut unsettled = n;
         while unsettled > 0 {
             if ctx.tid == 0 {
-                P::store_u32(flen_ctr.at(0), 0);
+                frontier.clear();
                 P::store_u32(settled_ctr.at(0), 0);
                 P::store_u32(repeat.at(0), 0);
             }
             ctx.barrier();
 
-            // Collect the unsettled vertices and re-seed their pairs.
+            // Collect the unsettled vertices and re-seed their pairs; the
+            // frontier is then read-only across all inner passes.
             {
-                let mut h = wl.handle(ctx.tid);
+                let mut out = frontier.pusher();
                 for v in ctx.my_block(n) {
                     if P::load_u32(scc_ids.at(v)) == 0 {
                         let id = (v + 1) as u64;
                         P::store_u64(pairs.at(v), (id << 32) | id);
-                        h.push(v as u64);
-                    }
-                }
-                h.flush();
-            }
-            ctx.barrier();
-
-            // Drain into the frontier array through ticketed slots; the
-            // frontier is then read-only across all inner passes.
-            {
-                let mut h = wl.handle(ctx.tid);
-                while let Some(chunk) = h.pop_chunk() {
-                    for item in chunk {
-                        let slot = P::fetch_add_u32(flen_ctr.at(0), 1) as usize;
-                        P::publish_u32(frontier.at(slot), item as u32);
+                        out.push(v as u32);
                     }
                 }
             }
             ctx.barrier();
-            let flen = P::load_u32(flen_ctr.at(0)) as usize;
+            let flen = frontier.len();
 
             // Propagate max IDs forward and backward to a fixed point. The
             // monotone max updates are exactly where the baseline races.
             loop {
                 for i in ctx.my_block(flen) {
-                    let u = P::observe_u32(frontier.at(i)) as usize;
+                    let u = frontier.get(i) as usize;
                     let (begin, end) = (row[u] as usize, row[u + 1] as usize);
                     for &v in &col[begin..end] {
                         if P::load_u32(scc_ids.at(v as usize)) != 0 {
@@ -105,7 +90,7 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> SccResult {
 
             // Settle: agreeing forward/backward maxima fix the pivot.
             for i in ctx.my_block(flen) {
-                let v = P::observe_u32(frontier.at(i)) as usize;
+                let v = frontier.get(i) as usize;
                 let fw = P::read_pair_first(pairs.at(v));
                 let bw = P::read_pair_second(pairs.at(v));
                 if fw == bw {

@@ -26,18 +26,18 @@
 //!
 //! - [`mem`]: shared atomic arrays ([`WordArr`]/[`LongArr`]/[`ByteArr`])
 //!   standing in for device buffers.
-//! - [`worklist`]: a lock-free chunked worklist with epoch-based
-//!   reclamation, the native analogue of the device worklists the
-//!   worklist-driven codes (CC/MIS/MST/SCC) use.
+//! - [`frontier`]: a per-round array of item slots with an append cursor,
+//!   the native analogue of the device worklists the round-driven codes
+//!   (CC/GC/MIS/MST/SCC) use.
 //! - [`pool`]: scoped-thread SPMD teams with barriers, thread-count
 //!   resolution (`ECL_THREADS`), and schedule perturbation helpers.
 
+pub mod frontier;
 pub mod mem;
 pub mod policy;
 pub mod pool;
-pub mod worklist;
 
+pub use frontier::Frontier;
 pub use mem::{ByteArr, LongArr, WordArr};
 pub use policy::{Baseline, NativePolicy, RaceFree};
 pub use pool::{block_of, run_team, thread_count, TeamCtx, Tickets};
-pub use worklist::{Worklist, WorklistHandle};
