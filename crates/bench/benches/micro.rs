@@ -2,7 +2,7 @@
 //! the three access classes, cache-model throughput, and wall-clock cost of
 //! each algorithm kernel at small scale. These measure *host* wall time (how
 //! fast the simulator simulates), complementing the simulated-cycle results
-//! of the `paper_tables` bench.
+//! of the `all_tests` sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecl_core::suite::{run_algorithm, Algorithm, Variant};

@@ -22,6 +22,10 @@
 //! n<=2048 matrix cap. `--backend sim` replays the identical cells through
 //! the simulator — only sensible with `--quick`; full-scale simulation of a
 //! 12M-edge graph would take days, so the bin refuses the combination.
+//!
+//! Exit codes: 0 on success, 2 on a usage error (unknown backend,
+//! `--backend sim` without `--quick`, a non-numeric `--threads`/`--reps`),
+//! reported on one line before any input is built or the report written.
 
 use ecl_bench::export::Json;
 use ecl_bench::geomean;
@@ -100,6 +104,19 @@ fn input_json(role: &str, name: &str, g: &Csr) -> Json {
     ])
 }
 
+/// Reports a command-line error on one line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("native_bench: {msg}");
+    std::process::exit(2);
+}
+
+/// Parses a numeric flag value, or exits 2 naming the flag.
+fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} expects a number, got '{value}'")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_value = |name: &str| {
@@ -110,23 +127,22 @@ fn main() {
     };
     let quick = args.iter().any(|a| a == "--quick");
     let backend_name = flag_value("--backend").unwrap_or_else(|| "native".into());
-    let threads = flag_value("--threads").map(|t| t.parse::<usize>().expect("--threads N"));
-    let reps: u32 = flag_value("--reps").map_or(2, |r| r.parse().expect("--reps N"));
+    let threads = flag_value("--threads").map(|t| parse_num::<usize>("--threads", &t));
+    let reps: u32 = flag_value("--reps").map_or(2, |r| parse_num("--reps", &r));
     let out_path = flag_value("--out").unwrap_or_else(|| "output/BENCH_NATIVE.json".into());
 
     let native = NativeBackend::new(threads);
     let sim = SimulatorBackend;
     let backend: &dyn Backend = match backend_name.as_str() {
         "native" => &native,
-        "sim" => {
-            assert!(
-                quick,
-                "--backend sim requires --quick: full-scale inputs are sized \
-                 for host threads, not the cycle-level simulator"
-            );
-            &sim
-        }
-        other => panic!("unknown backend '{other}' (expected 'native' or 'sim')"),
+        "sim" if quick => &sim,
+        "sim" => usage_error(
+            "--backend sim requires --quick: full-scale inputs are sized \
+             for host threads, not the cycle-level simulator",
+        ),
+        other => usage_error(&format!(
+            "unknown backend '{other}' (expected 'native' or 'sim')"
+        )),
     };
     let resolved_threads = ecl_native::thread_count(threads);
 

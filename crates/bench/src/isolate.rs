@@ -132,17 +132,21 @@ pub fn run_worker(spec: &IsolateSpec, key: &str, idx: usize) -> Result<WorkerVer
         }
     };
 
+    // A cell's worker often exits within a few milliseconds: poll every
+    // millisecond to reap it promptly, never sleeping past the deadline so
+    // the kill lands on time.
     let deadline = Instant::now() + spec.timeout;
     let (status, timed_out) = loop {
         match child.try_wait() {
             Ok(Some(status)) => break (status, false),
             Ok(None) => {
-                if Instant::now() >= deadline {
+                let now = Instant::now();
+                if now >= deadline {
                     let _ = child.kill();
                     let status = child.wait().expect("wait on killed worker");
                     break (status, true);
                 }
-                std::thread::sleep(Duration::from_millis(15));
+                std::thread::sleep(Duration::from_millis(1).min(deadline - now));
             }
             Err(e) => {
                 let _ = child.kill();
@@ -271,7 +275,9 @@ mod tests {
     #[test]
     fn overrunning_worker_is_killed() {
         let s = spec("sleep 30", 100);
+        let started = Instant::now();
         let err = run_worker(&s, "k", 2).unwrap_err();
+        assert!(started.elapsed() >= s.timeout, "killed before the deadline");
         match err {
             RunError::Worker { timed_out, .. } => assert!(timed_out),
             other => panic!("expected Worker, got {other:?}"),

@@ -1,7 +1,7 @@
 //! Small-scale checks that the simulator reproduces the *shape* of the
 //! paper's results — who wins, roughly by how much, and the Fig. 6 trend.
-//! The full-scale reproduction lives in the `paper_tables` bench; these are
-//! quick smoke versions that run under `cargo test`.
+//! The full-scale reproduction is the `all_tests` sweep; these are quick
+//! smoke versions that run under `cargo test`.
 
 use ecl_bench::{geomean, Matrix};
 use ecl_core::suite::Algorithm;
