@@ -16,12 +16,14 @@
 //!     [--out output/BENCH_NATIVE.json]
 //! ```
 //!
-//! Full mode builds ~12M-stored-edge R-MAT inputs (the 10M+ floor the
+//! Full mode builds an R-MAT input with |V| = 2^21 and 7.5M requested edges,
+//! 14.7M stored once mirrored and deduplicated (above the 10M floor the
 //! native harness targets; MST's packed keys cap stored edges at 2^26, so
-//! this is comfortably inside range) plus a dense APSP instance at the
-//! n<=2048 matrix cap. `--backend sim` replays the identical cells through
-//! the simulator — only sensible with `--quick`; full-scale simulation of a
-//! 12M-edge graph would take days, so the bin refuses the combination.
+//! this is comfortably inside range), plus a 1,024-vertex dense APSP
+//! instance, half the n<=2048 matrix cap. `--backend sim` replays the
+//! identical cells through the simulator — only sensible with `--quick`;
+//! full-scale simulation of a 14.7M-edge graph would take days, so the bin
+//! refuses the combination.
 //!
 //! Exit codes: 0 on success, 2 on a usage error (unknown backend,
 //! `--backend sim` without `--quick`, a non-numeric `--threads`/`--reps`),
@@ -148,7 +150,7 @@ fn main() {
 
     // Undirected input for CC/GC/MIS/MST, reused as the (symmetric) directed
     // input for SCC — small-diameter so label propagation converges in a
-    // handful of passes even at 12M edges. Weights are pre-synthesized with
+    // handful of passes even at 14.7M edges. Weights are pre-synthesized with
     // the suite's canonical parameters so the weighted runs skip the
     // per-call clone and match the simulator's digests.
     let (n, m_requested, apsp_n, apsp_m) = if quick {

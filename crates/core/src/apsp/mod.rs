@@ -25,8 +25,9 @@ use ecl_simt::{Gpu, GpuConfig, KernelIr};
 /// "No path" distance. Small enough that `INF + weight` cannot overflow.
 pub const INF: u32 = 0x3f3f_3f3f;
 
-/// Tile side length. The paper uses 64×64 tiles on real GPUs; the simulator
-/// uses 16×16 so a tile's threads (256) exactly fill one block.
+/// Tile side length. The paper uses 64×64 tiles on real GPUs, as does the
+/// native port; the simulator uses 16×16 so a tile's threads (256) exactly
+/// fill one block.
 pub const TILE: usize = 16;
 
 /// Outcome of an APSP run.

@@ -22,7 +22,9 @@ fn run_all(variant: Variant) {
     }
     let r = run_native(Algorithm::Scc, variant, &g, 8, 3);
     assert!(r.valid, "SCC {variant} invalid");
-    let apsp = gen::grid2d_torus(8, 8).with_random_weights(20, 4);
+    // 196 vertices: 4 tiles per side, so phases 2 and 3 read tiles that
+    // other threads wrote in the phase before.
+    let apsp = gen::grid2d_torus(14, 14).with_random_weights(20, 4);
     let r = run_native(Algorithm::Apsp, variant, &apsp, 4, 2);
     assert!(r.valid, "APSP {variant} invalid");
 }

@@ -46,6 +46,12 @@ impl WordArr {
         &self.data[i]
     }
 
+    /// The cells in `range`.
+    #[inline]
+    pub fn cells(&self, range: std::ops::Range<usize>) -> &[AtomicU32] {
+        &self.data[range]
+    }
+
     /// Copies the array out with relaxed loads. Call only from a point
     /// where writers are quiescent (after a barrier or join).
     pub fn snapshot(&self) -> Vec<u32> {
