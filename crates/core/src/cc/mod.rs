@@ -13,7 +13,7 @@ mod verify;
 
 pub use verify::{reference_components, verify_components};
 
-use crate::common::{partition_digest, DeviceGraph, SimOptions};
+use crate::common::{partition_summary, DeviceGraph, SimOptions};
 use crate::primitives::AccessPolicy;
 use crate::suite::Flavor;
 use ecl_graph::Csr;
@@ -65,12 +65,10 @@ pub fn run_on<P: AccessPolicy>(gpu: &mut Gpu, g: &Csr, visibility: StoreVisibili
     let dg = DeviceGraph::upload(gpu, g);
     let labels = kernels::run_on::<P>(gpu, &dg, visibility);
     let host_labels = gpu.download(&labels);
-    let mut roots: Vec<u32> = host_labels.clone();
-    roots.sort_unstable();
-    roots.dedup();
+    let (digest, num_components) = partition_summary(&host_labels);
     CcResult {
-        digest: partition_digest(&host_labels),
-        num_components: roots.len(),
+        digest,
+        num_components,
         cycles: gpu.elapsed_cycles(),
         stats: gpu.run_stats().clone(),
         labels: host_labels,

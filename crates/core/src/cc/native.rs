@@ -4,11 +4,11 @@
 //! through their ticketed worklist.
 //!
 //! The connected-components partition of a graph is unique, so the native
-//! result's canonical [`partition_digest`] matches the simulator's for any
-//! thread count and interleaving — that is what `tests/native_differential.rs`
-//! pins.
+//! result's canonical partition digest ([`partition_summary`]) matches the
+//! simulator's for any thread count and interleaving — that is what
+//! `tests/native_differential.rs` pins.
 
-use crate::common::partition_digest;
+use crate::common::partition_summary;
 use ecl_graph::Csr;
 use ecl_native::{run_team, Frontier, NativePolicy, Tickets, WordArr};
 
@@ -65,7 +65,6 @@ pub(crate) fn hook<P: NativePolicy>(parent: &WordArr, a: u32, b: u32) -> bool {
 /// schedule (block rotation), never the result.
 pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> CcResult {
     assert!(g.num_vertices() > 0, "empty graph");
-    let start = std::time::Instant::now();
     let n = g.num_vertices();
     let row = g.row_offsets();
     let col = g.col_indices();
@@ -80,7 +79,7 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> CcResult {
     let heavy = Frontier::new(heavy_chunks);
     let flatten = Tickets::new(n, 1024);
 
-    run_team(threads, seed, |ctx| {
+    let team = run_team(threads, seed, |ctx| {
         // Init: label[v] = first neighbor smaller than v, else v.
         for v in ctx.my_block(n) {
             let (begin, end) = (row[v] as usize, row[v + 1] as usize);
@@ -142,13 +141,11 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> CcResult {
     });
 
     let host_labels = labels.snapshot();
-    let mut roots = host_labels.clone();
-    roots.sort_unstable();
-    roots.dedup();
+    let (digest, num_components) = partition_summary(&host_labels);
     CcResult {
-        digest: partition_digest(&host_labels),
-        num_components: roots.len(),
-        cycles: start.elapsed().as_nanos() as u64,
+        digest,
+        num_components,
+        cycles: team.as_nanos() as u64,
         stats: Default::default(),
         labels: host_labels,
     }

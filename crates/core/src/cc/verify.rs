@@ -41,12 +41,9 @@ pub fn verify_components(g: &Csr, labels: &[u32]) -> bool {
             return false;
         }
     }
-    // Different components -> different labels: the number of distinct
-    // labels must equal the true component count.
-    let mut distinct: Vec<u32> = labels.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    distinct.len() == reference_components(g)
+    // Different components -> different labels: the number of label groups
+    // must equal the true component count.
+    crate::common::partition_summary(labels).1 == reference_components(g)
 }
 
 #[cfg(test)]

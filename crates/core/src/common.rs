@@ -189,25 +189,37 @@ impl Default for Digest {
 /// Canonicalizes a partition (component labels) so two labelings that induce
 /// the same partition hash identically: each vertex's label is replaced by
 /// the smallest vertex id in its group.
+///
+/// Labels no larger than `labels.len()` — every code's output: CC vertex
+/// ids, SCC pivot ids + 1, Tarjan vertex ids — index a dense
+/// first-occurrence table; any other labeling goes through a map.
 pub fn canonical_partition(labels: &[u32]) -> Vec<u32> {
-    let mut representative: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        let entry = representative.entry(l).or_insert(v as u32);
-        if *entry > v as u32 {
-            *entry = v as u32;
+    if labels.iter().all(|&l| l as usize <= labels.len()) {
+        let mut first = vec![u32::MAX; labels.len() + 1];
+        for (v, &l) in labels.iter().enumerate() {
+            if first[l as usize] == u32::MAX {
+                first[l as usize] = v as u32;
+            }
         }
+        return labels.iter().map(|&l| first[l as usize]).collect();
     }
-    labels.iter().map(|l| representative[l]).collect()
+    let mut first = std::collections::HashMap::new();
+    for (v, &l) in labels.iter().enumerate() {
+        first.entry(l).or_insert(v as u32);
+    }
+    labels.iter().map(|l| first[l]).collect()
 }
 
-/// Digest of a canonical partition.
-pub fn partition_digest(labels: &[u32]) -> u64 {
-    let canon = canonical_partition(labels);
+/// Summarizes a partition: the digest of its canonical form and its number
+/// of groups (the vertices that are their own group's smallest id).
+pub fn partition_summary(labels: &[u32]) -> (u64, usize) {
     let mut d = Digest::new();
-    for v in canon {
-        d.push(v as u64);
+    let mut groups = 0;
+    for (v, c) in canonical_partition(labels).into_iter().enumerate() {
+        d.push(c as u64);
+        groups += (c == v as u32) as usize;
     }
-    d.finish()
+    (d.finish(), groups)
 }
 
 #[cfg(test)]
@@ -236,8 +248,10 @@ mod tests {
         let a = [7, 7, 9, 9, 7];
         let b = [1, 1, 2, 2, 1];
         let c = [1, 1, 2, 1, 1];
-        assert_eq!(partition_digest(&a), partition_digest(&b));
-        assert_ne!(partition_digest(&a), partition_digest(&c));
+        assert_eq!(partition_summary(&a), partition_summary(&b));
+        assert_ne!(partition_summary(&a).0, partition_summary(&c).0);
+        assert_eq!(partition_summary(&a).1, 2);
+        assert_eq!(partition_summary(&c).1, 2);
     }
 
     #[test]

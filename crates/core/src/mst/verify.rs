@@ -36,30 +36,41 @@ impl Dsu {
 }
 
 /// Computes the minimum spanning forest weight with serial Kruskal — the
-/// ground truth for the GPU results. Ties are broken by edge index, which
-/// matches the device kernels' packed keys, though with unique keys the
-/// forest weight is unique anyway.
+/// ground truth for the GPU results.
 ///
 /// # Panics
 ///
 /// Panics if the graph has no weights.
 pub fn reference_mst_weight(g: &Csr) -> u64 {
-    let weights = g.weights().expect("weighted graph required");
-    let mut edges: Vec<(u32, u32, u32, u32)> = g
-        .edges()
-        .enumerate()
-        .filter(|&(_, (u, v))| u < v)
-        .map(|(e, (u, v))| (weights[e], e as u32, u, v))
-        .collect();
-    edges.sort_unstable();
-    let mut dsu = Dsu::new(g.num_vertices());
-    let mut total = 0u64;
-    for (w, _, u, v) in edges {
-        if dsu.union(u, v) {
-            total += w as u64;
+    kruskal(g, g.weights().expect("weighted graph required")).0
+}
+
+/// Serial Kruskal over each undirected edge's `u < v` half, taken in the
+/// order of packed `(weight << 32) | half` keys, `half` counting the halves
+/// in edge order: ties are broken by edge index, which matches the device
+/// kernels' packed keys, though with unique keys the forest weight is
+/// unique anyway. Returns the forest weight and the number of unions — `n`
+/// minus the number of components on the symmetric graphs MST runs on.
+fn kruskal(g: &Csr, weights: &[u32]) -> (u64, usize) {
+    let mut halves = Vec::new();
+    let mut keys = Vec::new();
+    for (e, (u, v)) in g.edges().enumerate() {
+        if u < v {
+            keys.push(((weights[e] as u64) << 32) | halves.len() as u64);
+            halves.push((u, v));
         }
     }
-    total
+    keys.sort_unstable();
+    let mut dsu = Dsu::new(g.num_vertices());
+    let (mut total, mut unions) = (0, 0);
+    for key in keys {
+        let (u, v) = halves[key as u32 as usize];
+        if dsu.union(u, v) {
+            total += key >> 32;
+            unions += 1;
+        }
+    }
+    (total, unions)
 }
 
 /// Checks that the flagged edges form a spanning forest of minimum total
@@ -84,14 +95,9 @@ pub fn verify_mst(g: &Csr, in_mst: &[bool]) -> bool {
             count += 1;
         }
     }
-    // Spanning: the chosen edges must connect exactly what the graph
-    // connects, i.e. component count with only MST edges equals the true
-    // component count — guaranteed when count = n - #components.
-    let components = crate::cc::reference_components(g);
-    if count != g.num_vertices() - components {
-        return false;
-    }
-    total == reference_mst_weight(g)
+    // Spanning: an acyclic edge set connects exactly what the graph
+    // connects iff it has as many edges as Kruskal made unions.
+    (total, count) == kruskal(g, weights)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ mod worklist;
 
 pub use verify::{reference_sccs, verify_sccs};
 
-use crate::common::{partition_digest, DeviceGraph, SimOptions};
+use crate::common::{partition_summary, DeviceGraph, SimOptions};
 use crate::primitives::AccessPolicy;
 use crate::suite::Flavor;
 use ecl_graph::Csr;
@@ -92,12 +92,10 @@ pub fn run_data_driven<P: AccessPolicy>(
 /// Reads the final pivot ids back and summarizes the partition.
 fn read_partition(gpu: &Gpu, ids: DeviceBuffer<u32>) -> SccResult {
     let scc_ids = gpu.download(&ids);
-    let mut distinct = scc_ids.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
+    let (digest, num_sccs) = partition_summary(&scc_ids);
     SccResult {
-        digest: partition_digest(&scc_ids),
-        num_sccs: distinct.len(),
+        digest,
+        num_sccs,
         cycles: gpu.elapsed_cycles(),
         stats: gpu.run_stats().clone(),
         scc_ids,

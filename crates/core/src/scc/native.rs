@@ -5,7 +5,7 @@
 //! The SCC partition is a unique graph property, so the canonical partition
 //! digest matches the simulator's for every thread count and interleaving.
 
-use crate::common::partition_digest;
+use crate::common::partition_summary;
 use ecl_graph::Csr;
 use ecl_native::{run_team, Frontier, LongArr, NativePolicy, WordArr};
 
@@ -15,7 +15,6 @@ use super::SccResult;
 /// schedule.
 pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> SccResult {
     assert!(g.num_vertices() > 0, "empty graph");
-    let start = std::time::Instant::now();
     let n = g.num_vertices();
     let row = g.row_offsets();
     let col = g.col_indices();
@@ -28,7 +27,7 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> SccResult {
     let repeat = WordArr::new(1, 0);
     let settled_ctr = WordArr::new(1, 0);
 
-    run_team(threads, seed, |ctx| {
+    let team = run_team(threads, seed, |ctx| {
         let mut unsettled = n;
         while unsettled > 0 {
             if ctx.tid == 0 {
@@ -108,13 +107,11 @@ pub fn run<P: NativePolicy>(g: &Csr, threads: usize, seed: u64) -> SccResult {
     });
 
     let host_ids = scc_ids.snapshot();
-    let mut distinct = host_ids.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
+    let (digest, num_sccs) = partition_summary(&host_ids);
     SccResult {
-        digest: partition_digest(&host_ids),
-        num_sccs: distinct.len(),
-        cycles: start.elapsed().as_nanos() as u64,
+        digest,
+        num_sccs,
+        cycles: team.as_nanos() as u64,
         stats: Default::default(),
         scc_ids: host_ids,
     }

@@ -404,8 +404,8 @@ pub fn run_synthesized(
 /// `ecl-native` access policies — the same codes, real `std::sync::atomic`
 /// concurrency instead of the simulator. `seed` perturbs the schedule
 /// (partition rotation), never the result; `cycles` in the returned
-/// [`RunResult`] holds wall-clock nanoseconds and `stats` is empty (there is
-/// no simulated memory hierarchy to profile).
+/// [`RunResult`] holds the thread team's wall-clock nanoseconds and `stats`
+/// is empty (there is no simulated memory hierarchy to profile).
 ///
 /// Missing edge weights are synthesized with the same parameters as
 /// [`run_algorithm`], so native and simulator runs of a catalog graph solve

@@ -10,6 +10,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 /// Resolves the worker-thread count: an explicit request (`--threads N`)
 /// beats the `ECL_THREADS` environment variable beats the machine's
@@ -66,13 +67,17 @@ pub fn block_of(n: usize, worker: usize, workers: usize) -> std::ops::Range<usiz
 }
 
 /// Runs `f` on `threads` scoped team members sharing one barrier. Returns
-/// once every member finished; panics propagate.
-pub fn run_team<F>(threads: usize, seed: u64, f: F)
+/// once every member finished, with the team's wall time from launch to
+/// join — the native counterpart of a run's simulated launch cycles, so
+/// set-up before the team and post-processing after it stay out of it.
+/// Panics propagate.
+pub fn run_team<F>(threads: usize, seed: u64, f: F) -> Duration
 where
     F: Fn(TeamCtx<'_>) + Sync,
 {
     assert!(threads >= 1, "a team needs at least one thread");
     let barrier = Barrier::new(threads);
+    let start = Instant::now();
     if threads == 1 {
         // Degenerate team: run inline (no spawn cost, easier debugging).
         f(TeamCtx {
@@ -81,7 +86,7 @@ where
             seed,
             barrier: &barrier,
         });
-        return;
+        return start.elapsed();
     }
     std::thread::scope(|s| {
         for tid in 0..threads {
@@ -97,6 +102,7 @@ where
             });
         }
     });
+    start.elapsed()
 }
 
 /// A dynamic work ticket: threads grab disjoint index chunks until `n` is
