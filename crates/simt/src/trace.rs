@@ -12,7 +12,7 @@ use crate::access::{AccessKind, AccessMode, MemOrder, Scope as ThreadScope};
 /// Global memory is shared by the whole grid; shared memory is private to a
 /// block (and is the only space the Compute-Sanitizer-like detector mode
 /// checks — see `ecl-racecheck`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Space {
     /// Device-global memory.
     Global,

@@ -9,15 +9,24 @@
 //!   access contracts of all six algorithms in both variants; the contracts
 //!   the static checker and the sanitizer consume must match it line for
 //!   line.
+//! - `output/GOLDEN_RACES.txt` renders every field of every finding of both
+//!   race detectors over the racy baselines' traces: the bounded epoch
+//!   detector in all three modes, and the happens-before detector. A
+//!   rewrite of a detector's engine must reproduce it line for line.
 //!
 //! A deliberate change regenerates the file (the fresh copy is written
 //! under the test's target scratch directory) and says why in CHANGES.md.
 
+use ecl_analyze::default_inputs;
 use ecl_bench::{BenchReport, Matrix};
 use ecl_core::contracts::for_algorithm;
-use ecl_core::suite::{Algorithm, RetryPolicy, Variant};
+use ecl_core::suite::{run_variant_on, Algorithm, RetryPolicy, Variant};
 use ecl_core::SimOptions;
-use ecl_simt::GpuConfig;
+use ecl_graph::Csr;
+use ecl_racecheck::{
+    check_races_bounded, check_races_hb, BoundedFinding, DetectorMode, RaceReport, RaceSite,
+};
+use ecl_simt::{Gpu, GpuConfig};
 use std::fmt::Write;
 use std::path::Path;
 
@@ -101,4 +110,100 @@ fn contracts_match_committed_rendering() {
         }
     }
     assert_matches_committed("output/GOLDEN_CONTRACTS.txt", &text);
+}
+
+fn render_site(s: &RaceSite) -> String {
+    format!("t{} {:?} {:?}", s.thread, s.mode, s.kind)
+}
+
+fn render_report(text: &mut String, r: &RaceReport) {
+    writeln!(
+        text,
+        "{} {:?} alloc={:#x} name={:?} addr={:#x} {:?} first=[{}] second=[{}] occurrences={}",
+        r.kernel,
+        r.space,
+        r.allocation,
+        r.allocation_name,
+        r.example_addr,
+        r.class,
+        render_site(&r.first),
+        render_site(&r.second),
+        r.occurrences
+    )
+    .unwrap();
+}
+
+fn render_bounded(text: &mut String, findings: &[BoundedFinding]) {
+    for f in findings {
+        render_report(text, &f.report);
+        for p in &f.pairs {
+            writeln!(
+                text,
+                "  pair addr={:#x} [{}] [{}]",
+                p.addr,
+                render_site(&p.first),
+                render_site(&p.second)
+            )
+            .unwrap();
+        }
+        writeln!(text, "  dropped={}", f.dropped).unwrap();
+    }
+}
+
+/// A traced baseline run at scheduler seed 1 on the test-tiny GPU.
+fn traced_baseline(alg: Algorithm, graph: &Csr) -> Gpu {
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    gpu.set_seed(1);
+    gpu.enable_tracing();
+    run_variant_on(&mut gpu, alg, Variant::Baseline, graph);
+    gpu
+}
+
+#[test]
+fn race_findings_match_committed_rendering() {
+    const MAX_PAIRS: usize = 4;
+    let modes = [
+        DetectorMode::Precise,
+        DetectorMode::SharedOnly,
+        DetectorMode::NoLaunchBarrier,
+    ];
+    let mut text = String::new();
+    for alg in Algorithm::ALL {
+        if alg == Algorithm::Apsp {
+            continue;
+        }
+        for (i, graph) in default_inputs(alg).iter().enumerate() {
+            let gpu = traced_baseline(alg, graph);
+            for mode in modes {
+                writeln!(
+                    text,
+                    "# {alg} baseline input {i} {mode:?} max_pairs={MAX_PAIRS}"
+                )
+                .unwrap();
+                render_bounded(
+                    &mut text,
+                    &check_races_bounded(&gpu, mode, MAX_PAIRS).findings,
+                );
+            }
+            writeln!(text, "# {alg} baseline input {i} happens-before").unwrap();
+            for r in check_races_hb(&gpu) {
+                render_report(&mut text, &r);
+            }
+        }
+    }
+    // APSP is race-free under a launch-aware detector, and the only code
+    // that uses shared memory: the launch-blind mode exercises both spaces.
+    let graph = ecl_graph::gen::rmat(32, 128, 0.5, 0.2, 0.2, true, 11);
+    let gpu = traced_baseline(Algorithm::Apsp, &graph);
+    let mode = DetectorMode::NoLaunchBarrier;
+    writeln!(
+        text,
+        "# APSP baseline rmat32 {mode:?} max_pairs={MAX_PAIRS}"
+    )
+    .unwrap();
+    render_bounded(
+        &mut text,
+        &check_races_bounded(&gpu, mode, MAX_PAIRS).findings,
+    );
+    assert_matches_committed("output/GOLDEN_RACES.txt", &text);
 }
