@@ -44,6 +44,7 @@ mod detect;
 mod hb;
 mod profile;
 mod report;
+mod shadow;
 
 pub use detect::{
     check_races, check_races_bounded, check_races_with_mode, BoundedDetection, BoundedFinding,
