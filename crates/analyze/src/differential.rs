@@ -15,11 +15,6 @@
 //!   means the contract *over-approximates* (or the inputs fail to exercise
 //!   it) — [`Mismatch::UnwitnessedStaticConflict`].
 //!
-//! The static side is filtered to kernels that actually launched: the suite
-//! declares contracts for engines a given entry point never runs (e.g.
-//! SCC's worklist kernels, MIS's synchronous rounds), and those cannot be
-//! witnessed by construction.
-//!
 //! The harness compares at (kernel, buffer) granularity — the same key the
 //! detector's deduplication uses — unioned over every input and scheduler
 //! seed, so a conflict only needs one witnessing interleaving somewhere.
@@ -72,7 +67,7 @@ pub struct DiffOutcome {
     pub algorithm: Algorithm,
     /// Which flavor.
     pub variant: Variant,
-    /// Statically-predicted conflict sites, filtered to launched kernels.
+    /// Statically-predicted conflict sites over every declared kernel.
     pub static_conflicts: BTreeSet<(String, String)>,
     /// Dynamically-witnessed race sites, unioned over inputs and seeds.
     pub dynamic_races: BTreeSet<(String, String)>,
@@ -138,8 +133,8 @@ pub fn default_inputs(algorithm: Algorithm) -> Vec<Csr> {
 
 /// Differences one algorithm × variant over the given inputs and scheduler
 /// seeds. The dynamic side is the union of detector findings across every
-/// (input, seed) run; the static side is the checker's conflict set
-/// restricted to kernels that launched at least once.
+/// (input, seed) run; the static side is the checker's whole conflict set,
+/// so a declared kernel that never launches surfaces as unwitnessed.
 pub fn diff_algorithm(
     algorithm: Algorithm,
     variant: Variant,
@@ -173,7 +168,6 @@ pub fn diff_algorithm(
     let static_conflicts: BTreeSet<(String, String)> = check_algorithm(algorithm, variant)
         .conflicts
         .into_iter()
-        .filter(|c| launched.contains(&c.kernel))
         .map(|c| (c.kernel, c.buffer.to_string()))
         .collect();
 
@@ -214,12 +208,13 @@ pub fn diff_suite(cfg: &GpuConfig, seeds: &[u64]) -> Vec<DiffOutcome> {
     out
 }
 
-/// Sanity helper shared by the tool and tests: contracts exist for every
-/// kernel that launched (the sanitizer would otherwise fail the launch).
-pub fn launched_kernels_have_contracts(outcome: &DiffOutcome) -> bool {
+/// The launched kernels are exactly the declared ones: every kernel with a
+/// contract ran on the outcome's inputs, and nothing without a contract
+/// launched (the sanitizer would otherwise fail the launch).
+pub fn launched_kernels_match_contracts(outcome: &DiffOutcome) -> bool {
     let declared: BTreeSet<String> = for_algorithm(outcome.algorithm, outcome.variant)
         .into_iter()
         .map(|c| c.kernel)
         .collect();
-    outcome.launched.iter().all(|k| declared.contains(k))
+    outcome.launched == declared
 }

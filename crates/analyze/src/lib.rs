@@ -45,7 +45,7 @@ pub use check::{
     Conflict,
 };
 pub use differential::{
-    default_inputs, diff_algorithm, diff_suite, launched_kernels_have_contracts, DiffOutcome,
+    default_inputs, diff_algorithm, diff_suite, launched_kernels_match_contracts, DiffOutcome,
     Mismatch,
 };
 pub use repair::{

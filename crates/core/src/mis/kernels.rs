@@ -70,71 +70,6 @@ fn run_on_hooks<P: AccessPolicy, H: Hooks>(
     statuses
 }
 
-/// The synchronous (round-based) alternative: the host relaunches a sweep
-/// kernel until every vertex is decided — the textbook Luby structure that
-/// ECL-MIS's asynchronous single-kernel design improves on. Used by the
-/// ablation study; produces the identical set.
-pub(super) fn run_synchronous_on<P: AccessPolicy>(
-    gpu: &mut Gpu,
-    dg: &DeviceGraph,
-    visibility: StoreVisibility,
-) -> DeviceBuffer<u8> {
-    if gpu.fast_path_eligible() {
-        run_synchronous_hooks::<P, NoHooks>(gpu, dg, visibility)
-    } else {
-        run_synchronous_hooks::<P, FullHooks>(gpu, dg, visibility)
-    }
-}
-
-fn run_synchronous_hooks<P: AccessPolicy, H: Hooks>(
-    gpu: &mut Gpu,
-    dg: &DeviceGraph,
-    visibility: StoreVisibility,
-) -> DeviceBuffer<u8> {
-    let n = dg.n;
-    let statuses = gpu.alloc_named::<u8>(((n as usize) + 3) & !3, "node_stat");
-    let undecided = gpu.alloc_named::<u32>(1, "undecided");
-    let g = *dg;
-
-    gpu.launch_with::<H, _>(
-        LaunchConfig::for_items(n).with_visibility(visibility),
-        ForEach::with_hooks::<H>("mis_sync_init", n, move |ctx, v| {
-            let begin = ctx.load(g.row_offsets.at(v as usize));
-            let end = ctx.load(g.row_offsets.at(v as usize + 1));
-            ctx.compute(4);
-            P::write_byte(ctx, statuses.as_ptr(), v, priority(v, end - begin));
-        }),
-    );
-
-    loop {
-        gpu.write_scalar(&undecided, 0, 0u32);
-        gpu.launch_with::<H, _>(
-            LaunchConfig::for_items(n).with_visibility(visibility),
-            ForEach::with_hooks::<H>("mis_sync_round", n, move |ctx, v| {
-                let sv = P::read_byte(ctx, statuses.as_ptr(), v);
-                if sv < 2 {
-                    return;
-                }
-                let kernel = MisComputeKernel::<P> {
-                    g,
-                    statuses,
-                    n: g.n,
-                    _policy: PhantomData,
-                };
-                if !kernel.try_decide(ctx, v, sv) {
-                    ctx.atomic_add_u32(undecided.at(0), 1);
-                }
-            })
-            .with_chunk(8),
-        );
-        if gpu.read_scalar(&undecided, 0) == 0 {
-            break;
-        }
-    }
-
-    statuses
-}
-
 /// The asynchronous compute kernel: each thread owns a grid-stride slice of
 /// vertices and keeps polling until every owned vertex is decided — the
 /// paper's "threads repeatedly poll neighbors and eventually update a

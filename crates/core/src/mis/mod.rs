@@ -23,7 +23,7 @@ use crate::common::{DeviceGraph, Digest, SimOptions};
 use crate::primitives::AccessPolicy;
 use crate::suite::Flavor;
 use ecl_graph::Csr;
-use ecl_simt::{DeviceBuffer, Gpu, GpuConfig, KernelIr, StoreVisibility};
+use ecl_simt::{Gpu, GpuConfig, KernelIr, StoreVisibility};
 
 /// Status byte value for vertices excluded from the set.
 pub const OUT: u8 = 0;
@@ -70,31 +70,6 @@ pub fn run_on<P: AccessPolicy>(gpu: &mut Gpu, g: &Csr, visibility: StoreVisibili
     assert!(g.num_vertices() > 0, "empty graph");
     let dg = DeviceGraph::upload(gpu, g);
     let statuses = kernels::run_on::<P>(gpu, &dg, visibility);
-    read_set(gpu, statuses, g)
-}
-
-/// Runs MIS with the *synchronous* round-based (textbook Luby) structure
-/// instead of ECL-MIS's asynchronous persistent-thread kernel — the design
-/// ablation isolating what asynchrony buys. Produces the identical set.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices.
-pub fn run_synchronous<P: AccessPolicy>(
-    g: &Csr,
-    cfg: &GpuConfig,
-    seed: u64,
-    visibility: StoreVisibility,
-) -> MisResult {
-    assert!(g.num_vertices() > 0, "empty graph");
-    let mut gpu = SimOptions::default().make_gpu(cfg, seed);
-    let dg = DeviceGraph::upload(&mut gpu, g);
-    let statuses = kernels::run_synchronous_on::<P>(&mut gpu, &dg, visibility);
-    read_set(&gpu, statuses, g)
-}
-
-/// Reads the final status bytes back and summarizes the set.
-fn read_set(gpu: &Gpu, statuses: DeviceBuffer<u8>, g: &Csr) -> MisResult {
     let mut host: Vec<u8> = gpu.download(&statuses);
     host.truncate(g.num_vertices());
     let in_set: Vec<bool> = host.iter().map(|&s| s == IN).collect();
@@ -115,36 +90,21 @@ fn read_set(gpu: &Gpu, statuses: DeviceBuffer<u8>, g: &Csr) -> MisResult {
     }
 }
 
-/// Access-level IR of the ECL-MIS kernels (both the asynchronous
-/// persistent-thread engine and the synchronous round-based ablation) under
-/// flavor `F`'s policy. All `node_stat` traffic is byte-wide and
-/// policy-mediated: the atomic mode lowers through the paper's Fig. 3–4
-/// typecast-and-mask transform (word-wide atomic load; `atomicAnd`/CAS-loop
-/// store).
+/// Access-level IR of the ECL-MIS kernels under flavor `F`'s policy. All
+/// `node_stat` traffic is byte-wide and policy-mediated: the atomic mode
+/// lowers through the paper's Fig. 3–4 typecast-and-mask transform
+/// (word-wide atomic load; `atomicAnd`/CAS-loop store).
 pub fn ir<F: Flavor>() -> Vec<KernelIr> {
     use crate::contracts::*;
     use ecl_simt::BenignClass::{IdempotentWrite, RePropagatedLostUpdate};
-    let statuses_poll = || -> Vec<AccessOp> {
-        vec![
-            byte_read::<F::Mis>("node_stat", Arbitrary).benign(RePropagatedLostUpdate),
-            byte_write::<F::Mis>("node_stat", Arbitrary).benign(IdempotentWrite),
-        ]
-    };
-    let init = |name: &'static str| {
-        KernelIr::new(name)
-            .ops(csr_loads(&["row_offsets"]))
-            .op(byte_write::<F::Mis>("node_stat", own1()))
-    };
     vec![
-        init("mis_init"),
-        init("mis_sync_init"),
+        KernelIr::new("mis_init")
+            .ops(csr_loads(&["row_offsets"]))
+            .op(byte_write::<F::Mis>("node_stat", own1())),
         KernelIr::new("mis_compute")
             .ops(csr_loads(&["row_offsets", "col_indices"]))
-            .ops(statuses_poll()),
-        KernelIr::new("mis_sync_round")
-            .ops(csr_loads(&["row_offsets", "col_indices"]))
-            .ops(statuses_poll())
-            .op(atomic_rmw("undecided")),
+            .op(byte_read::<F::Mis>("node_stat", Arbitrary).benign(RePropagatedLostUpdate))
+            .op(byte_write::<F::Mis>("node_stat", Arbitrary).benign(IdempotentWrite)),
     ]
 }
 
@@ -219,19 +179,6 @@ mod tests {
             StoreVisibility::DeferUntilYield,
         );
         assert_eq!(a.digest, b.digest);
-    }
-
-    #[test]
-    fn synchronous_variant_finds_the_same_set() {
-        let g = gen::rmat(384, 1536, 0.5, 0.2, 0.2, true, 7);
-        let cfg = GpuConfig::test_tiny();
-        let asynchronous = run::<Atomic>(&g, &cfg, 1, StoreVisibility::Immediate);
-        let synchronous = run_synchronous::<Atomic>(&g, &cfg, 1, StoreVisibility::Immediate);
-        assert!(verify_mis(&g, &synchronous.in_set));
-        assert_eq!(asynchronous.digest, synchronous.digest);
-        // The synchronous structure pays a launch per round; the async
-        // persistent-thread kernel launches exactly twice (init + compute).
-        assert!(synchronous.stats.num_launches() >= asynchronous.stats.num_launches());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! ECL-SCC: strongly connected components via data-driven, edge-centric
-//! max-ID propagation (paper §II-B-6).
+//! ECL-SCC: strongly connected components via edge-centric max-ID
+//! propagation (paper §II-B-6).
 //!
 //! Every vertex simultaneously acts as a pivot: each vertex tracks the
 //! maximum ID on its incoming paths and on its outgoing paths, stored as an
@@ -8,6 +8,14 @@
 //! and the remainder iterates. Monotonicity of the max propagation is what
 //! makes the baseline's lost updates "benign" (they are re-propagated).
 //!
+//! Each propagation round rescans every edge, and the host relaunches the
+//! round until the global "repeat" flag stays clear. This full-scan engine
+//! is the only one: it carries the `repeat` flag whose `bool` → `int`
+//! conversion the paper describes (§IV-C), and its SCC geomean speedups sit
+//! closer to the paper's than those of a data-driven worklist engine that
+//! revisits only changed vertices (EXPERIMENTS.md, "SCC propagation
+//! engine").
+//!
 //! Baseline races: plain reads/writes of the pair halves and of the global
 //! "repeat" boolean. The race-free version uses the paper's Fig. 5 helpers
 //! (atomic operations on each `int` half) and converts the flag to an `int`.
@@ -15,7 +23,6 @@
 mod kernels;
 pub mod native;
 mod verify;
-mod worklist;
 
 pub use verify::{reference_sccs, verify_sccs};
 
@@ -23,7 +30,7 @@ use crate::common::{partition_summary, DeviceGraph, SimOptions};
 use crate::primitives::AccessPolicy;
 use crate::suite::Flavor;
 use ecl_graph::Csr;
-use ecl_simt::{DeviceBuffer, Gpu, GpuConfig, KernelIr, StoreVisibility};
+use ecl_simt::{Gpu, GpuConfig, KernelIr, StoreVisibility};
 
 /// Outcome of an SCC run.
 #[derive(Debug, Clone)]
@@ -65,32 +72,6 @@ pub fn run_on<P: AccessPolicy>(gpu: &mut Gpu, g: &Csr, visibility: StoreVisibili
     assert!(g.num_vertices() > 0, "empty graph");
     let dg = DeviceGraph::upload(gpu, g);
     let ids = kernels::run_on::<P>(gpu, &dg, g, visibility);
-    read_partition(gpu, ids)
-}
-
-/// Runs ECL-SCC with the *data-driven* worklist propagation engine — the
-/// ECL-SCC paper's actual design, which only revisits edges whose source
-/// changed. Computes the same partition as [`run`] with far fewer memory
-/// accesses on high-diameter meshes.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices.
-pub fn run_data_driven<P: AccessPolicy>(
-    g: &Csr,
-    cfg: &GpuConfig,
-    seed: u64,
-    visibility: StoreVisibility,
-) -> SccResult {
-    assert!(g.num_vertices() > 0, "empty graph");
-    let mut gpu = SimOptions::default().make_gpu(cfg, seed);
-    let dg = DeviceGraph::upload(&mut gpu, g);
-    let ids = worklist::run_on::<P>(&mut gpu, &dg, g, visibility);
-    read_partition(&gpu, ids)
-}
-
-/// Reads the final pivot ids back and summarizes the partition.
-fn read_partition(gpu: &Gpu, ids: DeviceBuffer<u32>) -> SccResult {
     let scc_ids = gpu.download(&ids);
     let (digest, num_sccs) = partition_summary(&scc_ids);
     SccResult {
@@ -102,81 +83,30 @@ fn read_partition(gpu: &Gpu, ids: DeviceBuffer<u32>) -> SccResult {
     }
 }
 
-/// Access-level IR of the ECL-SCC kernels — both the full-scan engine and
-/// the data-driven worklist engine — under flavor `F`'s policy. The
+/// Access-level IR of the ECL-SCC kernels under flavor `F`'s policy. The
 /// packed-pair `max_id_pair` traffic and the `repeat_flag` raise are
-/// policy-mediated; the owned `scc_id` bookkeeping, the ticketed worklist
-/// slots, and the cursor RMWs are hard-coded.
+/// policy-mediated; the owned `scc_id` bookkeeping and the settle counter
+/// are hard-coded.
 pub fn ir<F: Flavor>() -> Vec<KernelIr> {
     use crate::contracts::*;
     use ecl_simt::BenignClass::MonotonicUpdate;
-    // The pair halves: arbitrary-index reads plus the monotone max updates
-    // (racy load+store in the baseline, atomicMax race-free).
-    let pair_traffic = || -> Vec<AccessOp> {
-        vec![
-            pair_read::<F::Scc>("max_id_pair", Arbitrary).benign(MonotonicUpdate),
-            pair_max::<F::Scc>("max_id_pair"),
-        ]
-    };
-    let settle = |name: &'static str| {
-        KernelIr::new(name)
-            .op(AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed())
-            .op(AccessOp::store("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed())
-            .op(pair_read::<F::Scc>("max_id_pair", own8()))
-            .op(atomic_rmw("settled_count"))
-    };
-    // A worklist push: ticket from the cursor, store into the fresh slot.
-    // The same kernel runs against either buffer (a/b roles swap each
-    // round), so both names are declared.
-    let wl_push = |ops: &mut Vec<AccessOp>| {
-        for wl in ["worklist_a", "worklist_b"] {
-            ops.push(
-                AccessOp::store(wl, OpWidth::B4, AccessMode::Plain, claim4())
-                    .region("frontier-write")
-                    .fixed(),
-            );
-        }
-        for count in ["worklist_count_a", "worklist_count_b"] {
-            ops.push(atomic_rmw(count));
-        }
-    };
-    let mut wl_propagate_ops = csr_loads(&["row_offsets", "col_indices"]);
-    wl_propagate_ops.extend([
-        AccessOp::load("worklist_a", OpWidth::B4, AccessMode::Plain, Arbitrary)
-            .region("frontier-read")
-            .fixed(),
-        AccessOp::load("worklist_b", OpWidth::B4, AccessMode::Plain, Arbitrary)
-            .region("frontier-read")
-            .fixed(),
-        AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, Arbitrary).fixed(),
-    ]);
-    wl_propagate_ops.extend(pair_traffic());
-    wl_push(&mut wl_propagate_ops);
-
-    let mut wl_init_ops = vec![
-        AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed(),
-        AccessOp::store("max_id_pair", OpWidth::B8, AccessMode::Plain, own8()).fixed(),
-    ];
-    wl_push(&mut wl_init_ops);
-
-    let mut wl_reseed_ops =
-        vec![AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed()];
-    wl_push(&mut wl_reseed_ops);
-
     vec![
         KernelIr::new("scc_init")
             .op(AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed())
             .op(AccessOp::store("max_id_pair", OpWidth::B8, AccessMode::Plain, own8()).fixed()),
+        // The pair halves: arbitrary-index reads plus the monotone max
+        // updates (racy load+store in the baseline, atomicMax race-free).
         KernelIr::new("scc_propagate")
             .ops(csr_loads(&["edge_src", "col_indices"]))
             .op(AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, Arbitrary).fixed())
-            .ops(pair_traffic())
+            .op(pair_read::<F::Scc>("max_id_pair", Arbitrary).benign(MonotonicUpdate))
+            .op(pair_max::<F::Scc>("max_id_pair"))
             .op(flag_raise::<F::Scc>("repeat_flag")),
-        settle("scc_settle"),
-        KernelIr::new("scc_wl_init").ops(wl_init_ops),
-        KernelIr::new("scc_wl_propagate").ops(wl_propagate_ops),
-        KernelIr::new("scc_wl_reseed").ops(wl_reseed_ops),
-        settle("scc_wl_settle"),
+        KernelIr::new("scc_settle")
+            .op(AccessOp::load("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed())
+            .op(AccessOp::store("scc_id", OpWidth::B4, AccessMode::Plain, own4()).fixed())
+            .op(pair_read::<F::Scc>("max_id_pair", own8()))
+            .op(atomic_rmw("settled_count")),
     ]
 }
 

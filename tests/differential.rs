@@ -8,13 +8,14 @@
 //!    classifies 100% of the baselines' conflicts as benign;
 //! 2. the **differential harness** finds the statically-predicted conflict
 //!    set and the dynamically-witnessed race set identical, kernel by kernel
-//!    and buffer by buffer (no contract lies, no contract over-approximates);
+//!    and buffer by buffer (no contract lies, no contract over-approximates),
+//!    and the kernels that launch are exactly the kernels with contracts;
 //! 3. the **sanitizer** completes full runs of every variant with contract
 //!    enforcement armed — every dynamic access falls inside a declared
 //!    footprint.
 
 use ecl_analyze::{
-    check_suite, default_inputs, diff_suite, launched_kernels_have_contracts, sanitize_run,
+    check_suite, default_inputs, diff_suite, launched_kernels_match_contracts, sanitize_run,
     suite_passes,
 };
 use ecl_core::suite::{Algorithm, Variant};
@@ -61,10 +62,11 @@ fn static_and_dynamic_race_views_coincide() {
                 .join("; ")
         );
         assert!(
-            launched_kernels_have_contracts(o),
-            "{} {} launched a kernel without a contract",
+            launched_kernels_match_contracts(o),
+            "{} {}: launched kernels {:?} differ from the declared contracts",
             o.algorithm,
-            o.variant
+            o.variant,
+            o.launched
         );
         match o.variant {
             // Race-free variants witness nothing, matching the empty
