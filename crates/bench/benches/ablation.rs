@@ -123,7 +123,7 @@ fn main() {
     }
 
     println!("\n=== Ablation 4: MIS priority heuristic -> set size ===");
-    let sizes = mis_priority_study(&graph, &gpu);
+    let sizes = mis_priority_study(&graph);
     println!(
         "degree-inverse priorities: {} vertices | flat random: {} vertices | gain {:+.1}%",
         sizes.0,
@@ -160,7 +160,7 @@ fn speedup(alg: Algorithm, graph: &ecl_graph::Csr, gpu: &GpuConfig) -> f64 {
 /// Compares the ECL-MIS degree-inverse priority against a flat random one
 /// by running a serial greedy in both orders (isolates the heuristic from
 /// the parallel machinery).
-fn mis_priority_study(graph: &ecl_graph::Csr, _gpu: &GpuConfig) -> (usize, usize) {
+fn mis_priority_study(graph: &ecl_graph::Csr) -> (usize, usize) {
     let n = graph.num_vertices();
     let greedy = |key: &dyn Fn(u32) -> (u8, u32)| -> usize {
         let mut order: Vec<u32> = (0..n as u32).collect();

@@ -239,11 +239,26 @@ struct OwnerKey {
     elem: u32,
 }
 
-/// The armed sanitizer: installed contracts plus per-launch ownership state.
+/// The armed sanitizer: installed contracts plus per-launch state.
 #[derive(Debug, Clone)]
 pub(crate) struct SanitizerState {
     set: HashMap<String, KernelContract>,
+    /// The launching kernel's entries, grouped by buffer; `None` when the
+    /// kernel has no contract.
+    launch: Option<LaunchFootprint>,
     owners: HashMap<OwnerKey, u32>,
+}
+
+/// One kernel's contract entries grouped by the buffer they name, resolved
+/// at launch. Allocations and contracts cannot change while a launch runs,
+/// so an access only ever scans the group of the buffer it lands in.
+#[derive(Debug, Clone)]
+struct LaunchFootprint {
+    /// Entries naming each allocation, indexed like
+    /// [`Memory::find_allocation`]; empty for unnamed allocations.
+    by_allocation: Vec<Vec<FootprintEntry>>,
+    /// Entries naming [`SHARED_BUFFER`].
+    shared: Vec<FootprintEntry>,
 }
 
 impl SanitizerState {
@@ -253,14 +268,33 @@ impl SanitizerState {
                 .into_iter()
                 .map(|c| (c.kernel.clone(), c))
                 .collect(),
+            launch: None,
             owners: HashMap::new(),
         }
     }
 
     /// Resets per-launch state (first-touch ownership is scoped to one
-    /// launch: launch boundaries order all accesses).
-    pub(crate) fn begin_launch(&mut self) {
+    /// launch: launch boundaries order all accesses) and groups `kernel`'s
+    /// contract entries by the buffers of `mem`.
+    pub(crate) fn begin_launch(&mut self, kernel: &str, mem: &Memory) {
         self.owners.clear();
+        self.launch = self.set.get(kernel).map(|contract| {
+            let naming = |buffer: &str| -> Vec<FootprintEntry> {
+                contract
+                    .entries
+                    .iter()
+                    .filter(|e| e.buffer == buffer)
+                    .cloned()
+                    .collect()
+            };
+            LaunchFootprint {
+                by_allocation: mem
+                    .allocation_names()
+                    .map(|name| name.map(naming).unwrap_or_default())
+                    .collect(),
+                shared: naming(SHARED_BUFFER),
+            }
+        });
     }
 
     /// Validates one dynamic access against the kernel's declared footprint.
@@ -277,7 +311,7 @@ impl SanitizerState {
         block: u32,
         mem: &Memory,
     ) -> Result<(), SimError> {
-        let SanitizerState { set, owners } = self;
+        let SanitizerState { launch, owners, .. } = self;
         let violation =
             |buffer: &str, offset: Option<u32>, declared: String| SimError::ContractViolation {
                 kernel: kernel.to_string(),
@@ -293,47 +327,46 @@ impl SanitizerState {
                     declared,
                 }),
             };
-        let Some(contract) = set.get(kernel) else {
+        let Some(footprint) = launch else {
             return Err(violation(
                 "?",
                 None,
                 "no contract declared for this kernel".into(),
             ));
         };
-        // Resolve the access to a named buffer and an ownership base.
-        let (buffer, base, owner_base) = match space {
-            Space::Shared => (SHARED_BUFFER, 0u32, block),
+        // Resolve the access to a named buffer, its entries, and an
+        // ownership base.
+        let (buffer, group, base, owner_base) = match space {
+            Space::Shared => (SHARED_BUFFER, &footprint.shared, 0u32, block),
             Space::Global => {
-                let Some((alloc_base, _)) = mem.allocation_of(addr) else {
+                let Some((index, alloc)) = mem.find_allocation(addr) else {
                     return Err(violation(
                         "?",
                         None,
                         "address outside any allocation".into(),
                     ));
                 };
-                let Some(name) = mem.allocation_name(addr) else {
+                let Some(name) = alloc.name.as_deref() else {
                     return Err(violation(
                         "<unnamed>",
-                        Some(addr - alloc_base),
+                        Some(addr - alloc.base),
                         "allocation has no name; contracts require named buffers".into(),
                     ));
                 };
                 // The name borrows from `mem`, which outlives this call.
-                (name, alloc_base, alloc_base)
+                (
+                    name,
+                    &footprint.by_allocation[index],
+                    alloc.base,
+                    alloc.base,
+                )
             }
         };
-        let candidates: Vec<&FootprintEntry> = contract
-            .entries
+        let candidates = group
             .iter()
-            .filter(|e| e.space == space && e.buffer == buffer && e.mode == mode && e.kind == kind)
-            .collect();
-        if candidates.is_empty() {
-            let declared: Vec<String> = contract
-                .entries
-                .iter()
-                .filter(|e| e.buffer == buffer)
-                .map(FootprintEntry::describe)
-                .collect();
+            .filter(|e| e.space == space && e.mode == mode && e.kind == kind);
+        if candidates.clone().next().is_none() {
+            let declared: Vec<String> = group.iter().map(FootprintEntry::describe).collect();
             let declared = if declared.is_empty() {
                 format!("buffer '{buffer}' is not in the kernel's footprint")
             } else {
@@ -343,7 +376,7 @@ impl SanitizerState {
         }
         // Stateless disciplines first; first-touch claims happen only when
         // nothing else admits the access.
-        for e in &candidates {
+        for e in candidates.clone() {
             match e.discipline {
                 IndexDiscipline::Arbitrary => return Ok(()),
                 IndexDiscipline::OwnedByGlobalId { elem_bytes } => {
@@ -355,7 +388,7 @@ impl SanitizerState {
                 IndexDiscipline::OwnedRange { .. } => {}
             }
         }
-        for e in &candidates {
+        for e in candidates.clone() {
             if let IndexDiscipline::OwnedRange { elem_bytes } = e.discipline {
                 let elem = (addr - base) / elem_bytes.max(1);
                 let key = OwnerKey {
@@ -370,7 +403,6 @@ impl SanitizerState {
             }
         }
         let declared = candidates
-            .iter()
             .map(|e| e.describe())
             .collect::<Vec<_>>()
             .join(", ");
@@ -470,6 +502,31 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.to_string().contains("no name"));
+    }
+
+    #[test]
+    fn padding_access_is_outside_any_allocation() {
+        // The word after the last element lies in the allocation's padding:
+        // inside the arena, but in no allocation.
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let buf = gpu.alloc_named::<u32>(4, "data");
+        gpu.install_contracts([owned_store_contract("pad")]);
+        let err = gpu
+            .try_launch(
+                LaunchConfig::for_items(1),
+                ForEach::new("pad", 1, move |ctx, _| {
+                    ctx.store(buf.as_ptr().offset(4), 1);
+                }),
+            )
+            .unwrap_err();
+        match err {
+            SimError::ContractViolation { detail, .. } => {
+                assert_eq!(detail.buffer, "?");
+                assert_eq!(detail.offset, None);
+                assert_eq!(detail.declared, "address outside any allocation");
+            }
+            other => panic!("expected ContractViolation, got {other:?}"),
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::config::GpuConfig;
 use crate::contract::SanitizerState;
 use crate::error::{self, SimError};
 use crate::fault::FaultState;
+use crate::ir::{ModePair, ModeTable};
 use crate::mem::{DevicePtr, DeviceValue, MemLevel, MemSystem, Memory};
 use crate::metrics::KernelStats;
 use crate::trace::{AccessEvent, Space, Trace};
@@ -341,6 +342,9 @@ pub struct Ctx<'a, H: Hooks = FullHooks> {
     fault: Option<&'a mut FaultState>,
     sanitizer: Option<&'a mut SanitizerState>,
     kernel: &'a str,
+    /// The installed mode table resolved for this kernel, one entry per
+    /// allocation (see [`ModeTable::resolve`]); empty without a table.
+    modes: &'a [Option<ModePair>],
     /// All threads' store buffers; the running thread's is `sbufs[sbuf_idx]`.
     sbufs: &'a mut [StoreBuf],
     sbuf_idx: usize,
@@ -423,15 +427,16 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// IR-driven mode dispatch: resolves `addr` to its named allocation and
-    /// looks up the access modes the installed [`crate::ir::ModeTable`]
-    /// prescribes for this kernel and that buffer. `None` when no table is
-    /// installed, the address has no named allocation, or the table has no
-    /// entry for the group. Host-side bookkeeping only — charges no
+    /// returns the access modes the installed [`ModeTable`] prescribes for
+    /// this kernel and that buffer. `None` when no table is installed, the
+    /// address has no named allocation, or the table has no entry for the
+    /// group. The table was resolved for this kernel once at launch, so this
+    /// is two indexed loads. Host-side bookkeeping only — charges no
     /// simulated cycles.
-    pub fn dispatch_modes(&self, addr: u32) -> Option<crate::ir::ModePair> {
-        let table = self.mem.mode_table()?;
-        let name = self.mem.allocation_name(addr)?;
-        table.get(self.kernel, name)
+    #[inline]
+    pub fn dispatch_modes(&self, addr: u32) -> Option<ModePair> {
+        let (index, _) = self.mem.find_allocation(addr)?;
+        self.modes.get(index).copied().flatten()
     }
 
     /// `__threadfence()`: makes this thread's prior writes visible
@@ -1133,6 +1138,7 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
     deadline: Option<std::time::Instant>,
     mut fault: Option<&mut FaultState>,
     mut sanitizer: Option<&mut SanitizerState>,
+    mode_table: Option<&ModeTable>,
     launch: LaunchConfig,
     kernel: &K,
 ) -> Result<KernelStats, SimError> {
@@ -1143,8 +1149,11 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
         t.name_launch(launch_id, kernel.name());
     }
     if let Some(s) = sanitizer.as_deref_mut() {
-        s.begin_launch();
+        s.begin_launch(kernel.name(), mem);
     }
+    // Allocations and the installed table cannot change while the launch
+    // runs, so resolving the table per allocation here is exact.
+    let modes = mode_table.map_or_else(Vec::new, |t| t.resolve(kernel.name(), mem));
 
     // Per-thread coroutine states and store buffers.
     let mut states: Vec<K::State> = (0..num_threads)
@@ -1196,6 +1205,7 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
             mem,
             msys,
             &mut trace,
+            &modes,
             &mut states,
             &mut statuses,
             &mut yields,
@@ -1244,6 +1254,7 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
     mem: &mut Memory,
     msys: &mut MemSystem,
     trace: &mut Option<&mut Trace>,
+    modes: &[Option<ModePair>],
     states: &mut [K::State],
     statuses: &mut [ThreadStatus],
     yields: &mut [u32],
@@ -1319,6 +1330,7 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
                     fault: fault.as_deref_mut(),
                     sanitizer: sanitizer.as_deref_mut(),
                     kernel: kernel.name(),
+                    modes,
                     sbufs: &mut *sbufs,
                     sbuf_idx: 0,
                     shared: &mut shared[block as usize],

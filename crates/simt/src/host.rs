@@ -7,6 +7,7 @@ use crate::contract::{KernelContract, SanitizerState};
 use crate::error::{self, catch_sim, SimError};
 use crate::exec::{run_kernel, FullHooks, Hooks, Kernel, LaunchConfig};
 use crate::fault::{FaultPlan, FaultReport, FaultState};
+use crate::ir::ModeTable;
 use crate::mem::{DeviceBuffer, DeviceValue, MemSystem, Memory};
 use crate::metrics::{KernelStats, RunStats};
 use crate::trace::Trace;
@@ -42,6 +43,7 @@ pub struct Gpu {
     deadline: Option<std::time::Instant>,
     fault: Option<FaultState>,
     sanitizer: Option<SanitizerState>,
+    mode_table: Option<ModeTable>,
     launches: RunStats,
     total_cycles: u64,
 }
@@ -71,6 +73,7 @@ impl Gpu {
             deadline: None,
             fault: None,
             sanitizer: None,
+            mode_table: None,
             launches: RunStats::default(),
             total_cycles: 0,
         }
@@ -163,13 +166,13 @@ impl Gpu {
     /// access policy will issue each policy-mediated access with the mode
     /// the table prescribes for its `(kernel, buffer)` group. This is how a
     /// synthesized (repaired) kernel IR executes without new kernel code.
-    pub fn install_mode_table(&mut self, table: crate::ir::ModeTable) {
-        self.memory.set_mode_table(Some(table));
+    pub fn install_mode_table(&mut self, table: ModeTable) {
+        self.mode_table = Some(table);
     }
 
     /// Removes the installed mode table.
     pub fn clear_mode_table(&mut self) {
-        self.memory.set_mode_table(None);
+        self.mode_table = None;
     }
 
     /// True when the contract sanitizer is armed.
@@ -346,6 +349,7 @@ impl Gpu {
             deadline,
             fault,
             sanitizer,
+            mode_table,
             ..
         } = self;
         let (seed, watchdog, deadline) = (*seed, *watchdog, *deadline);
@@ -361,6 +365,7 @@ impl Gpu {
                 deadline,
                 fault.as_mut(),
                 sanitizer.as_mut(),
+                mode_table.as_ref(),
                 launch,
                 kernel,
             )

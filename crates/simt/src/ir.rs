@@ -27,6 +27,7 @@ use std::collections::HashMap;
 
 use crate::access::{AccessKind, AccessMode};
 use crate::contract::{BenignClass, FootprintEntry, IndexDiscipline, KernelContract};
+use crate::mem::Memory;
 use crate::trace::Space;
 
 /// What a kernel does to a buffer at one access site.
@@ -454,6 +455,15 @@ impl ModeTable {
         self.entries
             .get(&(kernel.to_string(), buffer.to_string()))
             .copied()
+    }
+
+    /// The entries for `kernel`, one per allocation of `mem` and indexed
+    /// like [`Memory::find_allocation`]: what a launch of `kernel` looks
+    /// up instead of the table.
+    pub(crate) fn resolve(&self, kernel: &str, mem: &Memory) -> Vec<Option<ModePair>> {
+        mem.allocation_names()
+            .map(|name| self.get(kernel, name?))
+            .collect()
     }
 
     /// Number of `(kernel, buffer)` groups in the table.

@@ -197,17 +197,21 @@ pub struct Memory {
     bytes: Vec<u8>,
     next: u32,
     allocations: Vec<Allocation>,
-    /// Per-`(kernel, buffer)` access-mode dispatch for IR-driven execution
-    /// (see [`crate::ir::ModeTable`]). Lives here so kernel closures can
-    /// reach it through the `Ctx` they already hold.
-    mode_table: Option<crate::ir::ModeTable>,
+    /// The index of the allocation owning each 256-byte page of the arena.
+    /// Allocations start page-aligned and never share a page, so one load
+    /// finds the only allocation an address can belong to.
+    page_owner: Vec<u32>,
 }
 
+/// One bump-allocated range of the arena. Each starts on a fresh 256-byte
+/// page; allocations never move, shrink, or share a page.
 #[derive(Debug)]
-struct Allocation {
-    base: u32,
-    size: u32,
-    name: Option<String>,
+pub(crate) struct Allocation {
+    pub(crate) base: u32,
+    /// Requested bytes; the padding up to the next allocation belongs to
+    /// no allocation.
+    pub(crate) size: u32,
+    pub(crate) name: Option<String>,
 }
 
 impl Memory {
@@ -217,18 +221,8 @@ impl Memory {
             bytes: Vec::new(),
             next: 0,
             allocations: Vec::new(),
-            mode_table: None,
+            page_owner: Vec::new(),
         }
-    }
-
-    /// Installs (or clears) the IR-derived access-mode dispatch table.
-    pub fn set_mode_table(&mut self, table: Option<crate::ir::ModeTable>) {
-        self.mode_table = table;
-    }
-
-    /// The installed mode table, if any.
-    pub fn mode_table(&self) -> Option<&crate::ir::ModeTable> {
-        self.mode_table.as_ref()
     }
 
     /// Allocates `len` elements of `T`, zero-initialized.
@@ -238,6 +232,8 @@ impl Memory {
         let padded = (size + 255) & !255;
         self.next += padded.max(256);
         self.bytes.resize(self.next as usize, 0);
+        let index = self.allocations.len() as u32;
+        self.page_owner.resize((self.next / 256) as usize, index);
         self.allocations.push(Allocation {
             base: addr,
             size,
@@ -257,10 +253,21 @@ impl Memory {
 
     /// The name of the allocation containing `addr`, if one was set.
     pub fn allocation_name(&self, addr: u32) -> Option<&str> {
-        self.allocations
-            .iter()
-            .find(|a| addr >= a.base && addr < a.base + a.size)
-            .and_then(|a| a.name.as_deref())
+        self.find_allocation(addr)?.1.name.as_deref()
+    }
+
+    /// The allocation containing `addr` and its index in allocation order.
+    #[inline]
+    pub(crate) fn find_allocation(&self, addr: u32) -> Option<(usize, &Allocation)> {
+        let index = *self.page_owner.get((addr / 256) as usize)? as usize;
+        let a = &self.allocations[index];
+        (addr - a.base < a.size).then_some((index, a))
+    }
+
+    /// Every allocation's name (`None` when unnamed), indexed like
+    /// [`Memory::find_allocation`].
+    pub(crate) fn allocation_names(&self) -> impl Iterator<Item = Option<&str>> {
+        self.allocations.iter().map(|a| a.name.as_deref())
     }
 
     /// Total bytes currently reserved.
@@ -271,10 +278,7 @@ impl Memory {
     /// Finds the allocation containing `addr`, as `(base, size)`, for
     /// race-report symbolization.
     pub fn allocation_of(&self, addr: u32) -> Option<(u32, u32)> {
-        self.allocations
-            .iter()
-            .find(|a| addr >= a.base && addr < a.base + a.size)
-            .map(|a| (a.base, a.size))
+        self.find_allocation(addr).map(|(_, a)| (a.base, a.size))
     }
 
     /// Reads a value, bypassing all modeling (host access / debugger view).
@@ -380,6 +384,28 @@ mod tests {
         assert_eq!(base, a.as_ptr().addr());
         assert_eq!(size, 64);
         assert!(mem.allocation_of(base + size).is_none());
+    }
+
+    #[test]
+    fn allocation_search_matches_a_linear_scan() {
+        let mut mem = Memory::new();
+        for (i, len) in [10usize, 0, 64, 1, 300, 0].into_iter().enumerate() {
+            let buf = mem.alloc::<u32>(len);
+            if i % 2 == 0 {
+                mem.set_allocation_name(buf.as_ptr().addr(), &format!("b{i}"));
+            }
+        }
+        for addr in 0..mem.footprint() as u32 + 8 {
+            let linear = mem
+                .allocations
+                .iter()
+                .position(|a| addr >= a.base && addr < a.base + a.size);
+            assert_eq!(mem.find_allocation(addr).map(|(i, _)| i), linear);
+            assert_eq!(
+                mem.allocation_name(addr),
+                linear.and_then(|i| mem.allocations[i].name.as_deref())
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl CacheStats {
 pub struct Cache {
     /// `tags[set * ways + way]`, most-recently-used way first within each
     /// set; `u64::MAX` marks an empty way (line numbers are at most 32-bit,
-    /// so no real line collides with the sentinel).
+    /// so no real line collides with the sentinel). Sets past the end have
+    /// never been accessed and are empty: the storage grows on first use of
+    /// a set instead of filling every set up front, so a device costs
+    /// memory in proportion to the addresses its runs touch.
     tags: Vec<u64>,
     num_sets: u32,
     ways: u32,
@@ -97,7 +100,6 @@ impl Cache {
              divide evenly into {ways} ways"
         );
         let num_sets = lines / ways;
-        let slots = (num_sets * ways) as usize;
         let (set_mask, fastmod_m) = if num_sets.is_power_of_two() {
             ((num_sets - 1) as u64, 0)
         } else {
@@ -106,7 +108,7 @@ impl Cache {
             (0, u64::MAX / num_sets as u64 + 1)
         };
         Cache {
-            tags: vec![u64::MAX; slots],
+            tags: Vec::new(),
             num_sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
@@ -133,17 +135,21 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
         let line = (addr as u64) >> self.line_shift;
-        let base = self.set_index(line) * self.ways as usize;
         let ways = self.ways as usize;
+        let base = self.set_index(line) * ways;
+        if self.tags.len() < base + ways {
+            self.grow(base + ways);
+        }
+        let set = &mut self.tags[base..base + ways];
         // MRU way first: sequential re-references resolve on one compare.
-        if self.tags[base] == line {
+        if set[0] == line {
             self.stats.hits += 1;
             return true;
         }
         for i in 1..ways {
-            if self.tags[base + i] == line {
-                self.tags.copy_within(base..base + i, base + 1);
-                self.tags[base] = line;
+            if set[i] == line {
+                set.copy_within(0..i, 1);
+                set[0] = line;
                 self.stats.hits += 1;
                 return true;
             }
@@ -151,17 +157,30 @@ impl Cache {
         // Miss: the last way is the LRU line (or an empty slot while the
         // set is still filling — empties sink to the back under rotation,
         // so free ways are always consumed before a real line is evicted).
-        self.tags.copy_within(base..base + ways - 1, base + 1);
-        self.tags[base] = line;
+        set.copy_within(0..ways - 1, 1);
+        set[0] = line;
         self.stats.misses += 1;
         false
+    }
+
+    /// Extends the tag storage with empty sets up to `len` slots: at least
+    /// doubling, so growth costs amortized O(1) per slot, and never past
+    /// the configured capacity.
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        let full = (self.num_sets * self.ways) as usize;
+        let len = len.max(2 * self.tags.len()).min(full);
+        self.tags.reserve_exact(len - self.tags.len());
+        self.tags.resize(len, u64::MAX);
     }
 
     /// Checks for the line without allocating or counting (probe).
     pub fn probe(&self, addr: u32) -> bool {
         let line = (addr as u64) >> self.line_shift;
         let base = self.set_index(line) * self.ways as usize;
-        self.tags[base..base + self.ways as usize].contains(&line)
+        self.tags
+            .get(base..base + self.ways as usize)
+            .is_some_and(|set| set.contains(&line))
     }
 
     /// Refreshes the recency of the line containing `addr` if (and only if)
@@ -173,14 +192,18 @@ impl Cache {
     #[inline]
     pub fn touch(&mut self, addr: u32) -> bool {
         let line = (addr as u64) >> self.line_shift;
-        let base = self.set_index(line) * self.ways as usize;
-        if self.tags[base] == line {
+        let ways = self.ways as usize;
+        let base = self.set_index(line) * ways;
+        let Some(set) = self.tags.get_mut(base..base + ways) else {
+            return false;
+        };
+        if set[0] == line {
             return true;
         }
-        for i in 1..self.ways as usize {
-            if self.tags[base + i] == line {
-                self.tags.copy_within(base..base + i, base + 1);
-                self.tags[base] = line;
+        for i in 1..ways {
+            if set[i] == line {
+                set.copy_within(0..i, 1);
+                set[0] = line;
                 return true;
             }
         }
@@ -391,6 +414,24 @@ mod tests {
         assert_eq!(c.stats().hits, r.hits);
         assert_eq!(c.stats().misses, r.misses);
         assert!(r.hits > 0 && r.misses > 0);
+    }
+
+    #[test]
+    fn tag_storage_grows_with_the_sets_touched() {
+        // The 4090 preset's L2: 72 MiB, 16 ways, 32 B lines.
+        let (kib, ways, line_bytes) = (73_728, 16, 32);
+        let mut c = Cache::new(kib, ways, line_bytes);
+        assert_eq!(c.tags.capacity(), 0);
+        assert!(!c.probe(0) && !c.touch(0));
+        assert_eq!(c.tags.capacity(), 0);
+        let set = 1_000usize;
+        assert!(!c.access(set as u32 * line_bytes));
+        assert!(c.tags.capacity() <= (set + 1) * ways as usize);
+        assert!(c.probe(set as u32 * line_bytes));
+        // The last set still fits exactly in the configured capacity.
+        let last = c.num_sets - 1;
+        assert!(!c.access(last * line_bytes));
+        assert_eq!(c.tags.len(), c.num_lines() as usize);
     }
 
     #[test]

@@ -9,9 +9,16 @@
 //! `REPAIR_RESULTS.json`; this test keeps the guarantee in `cargo test` at
 //! a tier-1-friendly input scale.
 
+use ecl_analyze::differential::default_inputs;
 use ecl_analyze::repair::{synthesize, verify};
-use ecl_core::suite::Algorithm;
-use ecl_simt::{AccessMode, GpuConfig};
+use ecl_core::contracts::ir_for_algorithm;
+use ecl_core::primitives::{AccessPolicy, IrDriven};
+use ecl_core::suite::{run_algorithm_checked, run_synthesized, Algorithm, Variant};
+use ecl_core::SimOptions;
+use ecl_simt::{
+    catch_any, AccessMode, AccessOp, DevicePtr, ForEach, Gpu, GpuConfig, IndexDiscipline, KernelIr,
+    LaunchConfig, ModeTable, OpWidth,
+};
 
 #[test]
 fn every_algorithm_synthesizes_a_verified_race_free_variant() {
@@ -68,4 +75,80 @@ fn repair_is_minimal_not_blanket() {
         AccessMode::Volatile,
         "mst_connect's owned 64-bit best read was not flagged and must stay volatile"
     );
+}
+
+/// Runs `algorithm` under `IrDriven` with the mode table of its `variant`
+/// IR and asserts that the run equals the hand-written `variant` run: total
+/// cycles, every launch's stats, and the solution digest.
+fn assert_table_reproduces(algorithm: Algorithm, variant: Variant) {
+    let table = ModeTable::from_ir(&ir_for_algorithm(algorithm, variant));
+    let opts = SimOptions::default();
+    for cfg in [GpuConfig::test_tiny(), GpuConfig::a100()] {
+        for (i, graph) in default_inputs(algorithm).iter().enumerate() {
+            let what = format!("{algorithm} {variant} input {i} on {}", cfg.name);
+            let hand = run_algorithm_checked(algorithm, variant, graph, &cfg, 1, &opts)
+                .unwrap_or_else(|e| panic!("{what}: hand-written run failed: {e}"));
+            let table_run = run_synthesized(algorithm, &table, graph, &cfg, 1, &opts)
+                .unwrap_or_else(|e| panic!("{what}: table run failed: {e}"));
+            assert_eq!(table_run.cycles, hand.cycles, "{what}: total cycles");
+            assert_eq!(
+                table_run.stats.launches, hand.stats.launches,
+                "{what}: per-launch stats"
+            );
+            assert_eq!(
+                table_run.solution_digest, hand.solution_digest,
+                "{what}: digest"
+            );
+        }
+    }
+}
+
+#[test]
+fn ir_driven_runs_reproduce_the_hand_written_policies() {
+    // Every policy-mediated access takes its mode from the table, so a
+    // buffer resolved to the wrong mode moves cycles or launch stats.
+    for alg in Algorithm::ALL {
+        assert_table_reproduces(alg, Variant::RaceFree);
+    }
+    // A synthesized run publishes plain stores immediately, and the table
+    // carries no store visibility: only the MST and APSP baselines, whose
+    // stores are immediate too, can be reproduced from their own IR.
+    for alg in [Algorithm::Mst, Algorithm::Apsp] {
+        assert_table_reproduces(alg, Variant::Baseline);
+    }
+}
+
+#[test]
+fn ir_driven_accesses_outside_the_table_panic_with_kernel_and_address() {
+    let table = ModeTable::from_ir(&[KernelIr::new("probe").op(AccessOp::load(
+        "data",
+        OpWidth::B4,
+        AccessMode::Atomic,
+        IndexDiscipline::Arbitrary,
+    ))]);
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let data = gpu.alloc_named::<u32>(4, "data");
+    let unnamed = gpu.alloc::<u32>(4);
+    let other = gpu.alloc_named::<u32>(4, "other");
+    gpu.install_mode_table(table);
+    let mut read = |p: DevicePtr<u32>| {
+        catch_any(|| {
+            gpu.launch(
+                LaunchConfig::for_items(1),
+                ForEach::new("probe", 1, move |ctx, _| {
+                    IrDriven::read_u32(ctx, p);
+                }),
+            );
+        })
+    };
+    read(data.at(3)).expect("the table has an entry for (probe, data)");
+    for (case, p) in [
+        ("padding after the last element", data.as_ptr().offset(4)),
+        ("unnamed allocation", unnamed.at(0)),
+        ("buffer without an entry", other.at(0)),
+    ] {
+        let err = read(p).expect_err(case);
+        let expected = format!("kernel 'probe' at {:#x} has no mode-table entry", p.addr());
+        assert!(err.contains(&expected), "{case}: {err}");
+    }
 }
