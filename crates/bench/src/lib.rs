@@ -23,12 +23,13 @@ pub mod interrupt;
 pub mod isolate;
 pub mod journal;
 mod matrix;
-pub mod pool;
 pub mod repro;
 mod stats;
 pub mod storage;
 mod tables;
 
+/// The deterministic job pool the sweeps run their cells on.
+pub use ecl_native::pool;
 pub use export::{
     cell_json, failure_json, parse_cell, parse_failure, resolve_input_name, run_stats_json,
     table_from_records, table_json, BenchReport, Json, SweepTiming,

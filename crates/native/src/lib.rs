@@ -30,7 +30,9 @@
 //!   the native analogue of the device worklists the round-driven codes
 //!   (CC/GC/MIS/MST/SCC) use.
 //! - [`pool`]: scoped-thread SPMD teams with barriers, thread-count
-//!   resolution (`ECL_THREADS`), and schedule perturbation helpers.
+//!   resolution (`ECL_THREADS`), and schedule perturbation helpers; and the
+//!   deterministic job pool (worker count `ECL_JOBS`) that the sweeps and
+//!   repair verification run independent jobs on.
 
 pub mod frontier;
 pub mod mem;

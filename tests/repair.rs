@@ -10,7 +10,7 @@
 //! a tier-1-friendly input scale.
 
 use ecl_analyze::differential::default_inputs;
-use ecl_analyze::repair::{synthesize, verify};
+use ecl_analyze::repair::{oracle_inputs, synthesize, verify, InputComparison, DETECT_SEEDS};
 use ecl_core::contracts::ir_for_algorithm;
 use ecl_core::primitives::{AccessPolicy, IrDriven};
 use ecl_core::suite::{run_algorithm_checked, run_synthesized, Algorithm, Variant};
@@ -50,6 +50,46 @@ fn every_algorithm_synthesizes_a_verified_race_free_variant() {
             "{alg}: differential oracle mismatch: {:#?}",
             v.comparisons
         );
+    }
+}
+
+#[test]
+fn verify_matches_a_serial_recomputation() {
+    // `verify` fans the differential oracle out on the job pool; its
+    // comparisons and failures must be this serial loop's, in catalog order.
+    let cfg = GpuConfig::test_tiny();
+    let opts = SimOptions::default();
+    let seed = DETECT_SEEDS[0];
+    for alg in [Algorithm::Cc, Algorithm::Scc] {
+        let repaired = synthesize(alg, &cfg).unwrap();
+        let table = &repaired.mode_table;
+        let mut comparisons = Vec::new();
+        let mut run_failures = Vec::new();
+        for (name, graph) in oracle_inputs(alg, 0.03, 7) {
+            let synth = run_synthesized(alg, table, &graph, &cfg, seed, &opts);
+            let hand = run_algorithm_checked(alg, Variant::RaceFree, &graph, &cfg, seed, &opts);
+            match (synth, hand) {
+                (Ok(s), Ok(h)) => comparisons.push(InputComparison {
+                    input: name,
+                    synthesized_digest: s.solution_digest,
+                    hand_written_digest: h.solution_digest,
+                    both_valid: s.valid && h.valid,
+                    synthesized_cycles: s.cycles,
+                    hand_written_cycles: h.cycles,
+                }),
+                (s, h) => {
+                    if let Err(e) = s {
+                        run_failures.push(format!("{name} synthesized: {e}"));
+                    }
+                    if let Err(e) = h {
+                        run_failures.push(format!("{name} hand-written: {e}"));
+                    }
+                }
+            }
+        }
+        let v = verify(&repaired, &cfg, 0.03, 7);
+        assert_eq!(v.comparisons, comparisons, "{alg}: comparisons");
+        assert_eq!(v.run_failures, run_failures, "{alg}: run failures");
     }
 }
 
