@@ -291,7 +291,17 @@ pub struct CsrBuilder {
 
 impl CsrBuilder {
     /// Creates a builder for a graph with `num_vertices` vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vertices` exceeds `u32::MAX`: vertex ids are `u32`, so
+    /// `add_edge` could not name the vertices past it. Readers of untrusted
+    /// input reject such a size before they get here.
     pub fn new(num_vertices: usize) -> Self {
+        assert!(
+            u32::try_from(num_vertices).is_ok(),
+            "{num_vertices} vertices do not fit u32 vertex ids"
+        );
         CsrBuilder {
             num_vertices,
             edges: Vec::new(),
@@ -331,19 +341,62 @@ impl CsrBuilder {
         self.edges.len()
     }
 
-    /// Sorts, deduplicates, and produces the CSR arrays.
-    pub fn build(mut self) -> Csr {
-        self.edges.sort_unstable();
-        self.edges.dedup();
+    /// Orders, deduplicates, and produces the CSR arrays: rows in source
+    /// order, each row's destinations ascending and distinct.
+    ///
+    /// A counting sort by source places each destination in its row (degree
+    /// count, prefix sum, scatter), then each row is sorted and deduplicated
+    /// in place and the rows are compacted. This is linear in the staged
+    /// edges apart from the per-row sorts, and yields exactly the arrays a
+    /// global sort and dedup of the staged pairs would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` edges are staged, since row offsets
+    /// are `u32`.
+    pub fn build(self) -> Csr {
         let n = self.num_vertices;
+        let edges = self.edges;
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "{} staged edges overflow u32 row offsets",
+            edges.len()
+        );
         let mut row_offsets = vec![0u32; n + 1];
-        for &(s, _) in &self.edges {
+        for &(s, _) in &edges {
             row_offsets[s as usize + 1] += 1;
         }
         for i in 0..n {
             row_offsets[i + 1] += row_offsets[i];
         }
-        let col_indices = self.edges.iter().map(|&(_, d)| d).collect();
+        // `row_offsets[s]` is the scatter cursor of row `s`; it ends at the
+        // row's end, the old `row_offsets[s + 1]`, so one shift restores it.
+        let mut col_indices = vec![0u32; edges.len()];
+        for &(s, d) in &edges {
+            let slot = &mut row_offsets[s as usize];
+            col_indices[*slot as usize] = d;
+            *slot += 1;
+        }
+        drop(edges);
+        row_offsets.copy_within(0..n, 1);
+        row_offsets[0] = 0;
+        // Sort and dedup each row, moving it down over the duplicates
+        // dropped from the rows before it.
+        let (mut start, mut kept) = (0usize, 0usize);
+        for v in 0..n {
+            let end = row_offsets[v + 1] as usize;
+            col_indices[start..end].sort_unstable();
+            for i in start..end {
+                if i == start || col_indices[i] != col_indices[i - 1] {
+                    col_indices[kept] = col_indices[i];
+                    kept += 1;
+                }
+            }
+            row_offsets[v + 1] = kept as u32;
+            start = end;
+        }
+        col_indices.truncate(kept);
+        col_indices.shrink_to_fit();
         Csr {
             row_offsets,
             col_indices,
@@ -381,6 +434,12 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.neighbors(1), &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit u32")]
+    fn builder_rejects_more_vertices_than_u32_ids() {
+        let _ = CsrBuilder::new(u32::MAX as usize + 1);
     }
 
     #[test]

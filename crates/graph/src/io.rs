@@ -117,9 +117,22 @@ fn read_u32<R: Read>(reader: &mut R) -> Result<u32, GraphError> {
     Ok(u32::from_le_bytes(buf))
 }
 
+/// Reads `len` words. The buffer grows only as bytes arrive, so a header
+/// that declares more than the stream holds cannot make it allocate more
+/// than the stream's size.
 fn read_u32_vec<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u32>, GraphError> {
-    let mut bytes = vec![0u8; len * 4];
-    read_exact(reader, &mut bytes)?;
+    let want = len as u64 * 4;
+    let mut bytes = Vec::new();
+    reader
+        .take(want)
+        .read_to_end(&mut bytes)
+        .map_err(|e| GraphError::Format(format!("read failed: {e}")))?;
+    if bytes.len() as u64 != want {
+        return Err(GraphError::Format(format!(
+            "short read: {} of {want} bytes",
+            bytes.len()
+        )));
+    }
     Ok(bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -153,6 +166,19 @@ mod tests {
     fn rejects_bad_magic() {
         let err = read_graph(&b"NOPE\0\0\0\0"[..]).unwrap_err();
         assert!(matches!(err, GraphError::Format(_)));
+    }
+
+    #[test]
+    fn oversized_header_is_a_short_read_not_an_allocation() {
+        // Declares u32::MAX vertices and edges, then ends after 3 words.
+        let mut buf = MAGIC.to_vec();
+        for word in [VERSION, 0, u32::MAX, u32::MAX, 0, 0, 0] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        match read_graph(&buf[..]).unwrap_err() {
+            GraphError::Format(message) => assert!(message.contains("short read"), "{message}"),
+            other => panic!("expected Format, got {other:?}"),
+        }
     }
 
     #[test]

@@ -97,6 +97,12 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<Csr, GraphError> {
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
     let n = rows.max(cols);
+    if u32::try_from(n).is_err() {
+        return Err(at(
+            size_lineno,
+            format!("{rows}x{cols} matrix exceeds the u32 vertex-id range"),
+        ));
+    }
 
     let mut builder = CsrBuilder::new(n).symmetric(symmetric);
     let mut weights: Vec<((u32, u32), u32)> = Vec::new();
@@ -326,6 +332,21 @@ mod tests {
             GraphError::Parse { line, message, .. } => {
                 assert_eq!(line, 3);
                 assert!(message.contains("outside declared"), "got: {message}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_dimensions_are_rejected_on_the_size_line() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n\
+                    % rows past u32::MAX\n\
+                    4294967296 2 1\n\
+                    1 2\n";
+        match read_mtx(text.as_bytes()).unwrap_err() {
+            GraphError::Parse { line, message, .. } => {
+                assert_eq!(line, 3);
+                assert!(message.contains("u32"), "got: {message}");
             }
             other => panic!("expected Parse, got {other:?}"),
         }

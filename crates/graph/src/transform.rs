@@ -23,9 +23,11 @@ pub fn relabel(g: &Csr, perm: &[u32]) -> Csr {
         );
         seen[p as usize] = true;
     }
+    // The builder drops self-loops, so their weights are dropped here too.
     let mut edges: Vec<(u32, u32, Option<u32>)> = g
         .edges()
         .enumerate()
+        .filter(|&(_, (u, v))| u != v)
         .map(|(e, (u, v))| {
             (
                 perm[u as usize],
@@ -81,7 +83,7 @@ pub fn induced_subgraph(g: &Csr, keep: &[bool]) -> Csr {
     }
     let mut edges: Vec<(u32, u32, Option<u32>)> = Vec::new();
     for (e, (u, v)) in g.edges().enumerate() {
-        if keep[u as usize] && keep[v as usize] {
+        if keep[u as usize] && keep[v as usize] && u != v {
             edges.push((
                 new_id[u as usize],
                 new_id[v as usize],
@@ -161,6 +163,28 @@ mod tests {
         assert_eq!(sub.num_edges(), 2); // 0-1 both directions
         assert_eq!(sub.neighbors(0), &[1]);
         assert_eq!(sub.neighbors(2), &[] as &[u32]);
+    }
+
+    /// Weighted, with a self-loop at vertex 0 that `Csr::from_raw` (and so
+    /// `io::read_graph`) accepts but `CsrBuilder` drops.
+    fn weighted_with_self_loop() -> Csr {
+        Csr::from_raw(vec![0, 2, 3], vec![0, 1, 0], Some(vec![5, 7, 7])).unwrap()
+    }
+
+    #[test]
+    fn relabel_drops_a_self_loop_with_its_weight() {
+        let r = relabel(&weighted_with_self_loop(), &[1, 0]);
+        assert_eq!(r.row_offsets(), &[0, 1, 2]);
+        assert_eq!(r.col_indices(), &[1, 0]);
+        assert_eq!(r.weights(), Some(&[7, 7][..]));
+    }
+
+    #[test]
+    fn induced_subgraph_drops_a_self_loop_with_its_weight() {
+        let sub = induced_subgraph(&weighted_with_self_loop(), &[true, true]);
+        assert_eq!(sub.row_offsets(), &[0, 1, 2]);
+        assert_eq!(sub.col_indices(), &[1, 0]);
+        assert_eq!(sub.weights(), Some(&[7, 7][..]));
     }
 
     #[test]

@@ -11,7 +11,58 @@ fn edge_lists(max_n: u32) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     })
 }
 
+/// Strategy: an edge list `CsrBuilder` must clean up. Endpoints run past
+/// `n`; the pool `0..3` repeats pairs and makes self-loops, and once `n`
+/// is in the thousands it gives hub rows hundreds of edges long. Half of
+/// the lists are empty or one edge long.
+fn hostile_edge_lists() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (
+        prop_oneof![2u32..12, 1000u32..4000],
+        prop_oneof![0usize..2, 0usize..4000],
+    )
+        .prop_flat_map(|(n, len)| {
+            let v = || prop_oneof![0..n + 3, 0u32..3];
+            (Just(n), prop::collection::vec((v(), v()), len))
+        })
+}
+
+/// The sort-based build `CsrBuilder::build` replaced: stage the in-range,
+/// non-loop edges (mirrored when `symmetric`), sort and dedup them all,
+/// then count rows.
+fn reference_build(n: u32, edges: &[(u32, u32)], symmetric: bool) -> Csr {
+    let mut staged = Vec::new();
+    for &(s, d) in edges {
+        if s < n && d < n && s != d {
+            staged.push((s, d));
+            if symmetric {
+                staged.push((d, s));
+            }
+        }
+    }
+    staged.sort_unstable();
+    staged.dedup();
+    let mut row_offsets = vec![0u32; n as usize + 1];
+    for &(s, _) in &staged {
+        row_offsets[s as usize + 1] += 1;
+    }
+    for i in 0..n as usize {
+        row_offsets[i + 1] += row_offsets[i];
+    }
+    let col_indices = staged.iter().map(|&(_, d)| d).collect();
+    Csr::from_raw(row_offsets, col_indices, None).unwrap()
+}
+
 proptest! {
+    #[test]
+    fn builder_matches_the_sort_based_reference(
+        (n, edges) in hostile_edge_lists(),
+        symmetric in any::<bool>(),
+    ) {
+        let mut b = CsrBuilder::new(n as usize).symmetric(symmetric);
+        b.extend_edges(edges.iter().copied());
+        prop_assert_eq!(b.build(), reference_build(n, &edges, symmetric));
+    }
+
     #[test]
     fn builder_always_produces_valid_csr((n, edges) in edge_lists(64)) {
         let mut b = CsrBuilder::new(n as usize);

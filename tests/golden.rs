@@ -13,15 +13,24 @@
 //!   race detectors over the racy baselines' traces: the bounded epoch
 //!   detector in all three modes, and the happens-before detector. A
 //!   rewrite of a detector's engine must reproduce it line for line.
+//! - `output/GOLDEN_GRAPHS.txt` pins every generated input byte for byte:
+//!   the whole catalog at scales 0.25 and 1.0 and the R-MAT graphs of
+//!   perfbench's `native-rmat` and of `native_bench --quick`. The ignored
+//!   `large_graphs_match_committed_digests` pins the sizes tier-1 cannot
+//!   afford in `output/GOLDEN_GRAPHS_LARGE.txt`; run it with
+//!   `cargo test --release --test golden -- --ignored`.
 //!
 //! A deliberate change regenerates the file (the fresh copy is written
 //! under the test's target scratch directory) and says why in CHANGES.md.
 
 use ecl_analyze::default_inputs;
-use ecl_bench::{BenchReport, Matrix};
+use ecl_bench::journal::fnv1a;
+use ecl_bench::{graph_seed, BenchReport, Matrix};
 use ecl_core::contracts::for_algorithm;
 use ecl_core::suite::{run_variant_on, Algorithm, RetryPolicy, Variant};
 use ecl_core::SimOptions;
+use ecl_graph::gen::rmat;
+use ecl_graph::inputs::{directed_catalog, undirected_catalog};
 use ecl_graph::Csr;
 use ecl_racecheck::{
     check_races_bounded, check_races_hb, BoundedFinding, DetectorMode, RaceReport, RaceSite,
@@ -206,4 +215,60 @@ fn race_findings_match_committed_rendering() {
         &check_races_bounded(&gpu, mode, MAX_PAIRS).findings,
     );
     assert_matches_committed("output/GOLDEN_RACES.txt", &text);
+}
+
+const GRAPHS_HEADER: &str = "# graph scale n m fnv1a64(le32 row_offsets ++ col_indices)\n";
+const RMAT_SKEW: (f64, f64, f64) = (0.57, 0.19, 0.19);
+
+fn render_graph(text: &mut String, name: &str, scale: &str, g: &Csr) {
+    let bytes: Vec<u8> = g
+        .row_offsets()
+        .iter()
+        .chain(g.col_indices())
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    writeln!(
+        text,
+        "{name} {scale} {} {} {:016x}",
+        g.num_vertices(),
+        g.num_edges(),
+        fnv1a(&bytes)
+    )
+    .unwrap();
+}
+
+/// Every catalog input at `scale`, built as the sweep builds it at seed 1.
+fn render_catalog(text: &mut String, scale: f64) {
+    for input in undirected_catalog().iter().chain(directed_catalog()) {
+        let g = input.build(scale, graph_seed(1));
+        render_graph(text, input.name(), &scale.to_string(), &g);
+    }
+}
+
+#[test]
+fn graphs_match_committed_digests() {
+    let mut text = String::from(GRAPHS_HEADER);
+    render_catalog(&mut text, 0.25);
+    render_catalog(&mut text, 1.0);
+    let (a, b, c) = RMAT_SKEW;
+    // perfbench's native-rmat pair at seed 1, then `native_bench --quick`.
+    let g = rmat(1 << 18, 1_000_000, a, b, c, true, graph_seed(1));
+    render_graph(&mut text, "native-rmat", "-", &g);
+    let g = rmat(1024, 8192, a, b, c, true, graph_seed(1));
+    render_graph(&mut text, "native-rmat-apsp", "-", &g);
+    let g = rmat(1 << 12, 16_384, a, b, c, true, 0x5eed);
+    render_graph(&mut text, "native_bench-quick", "-", &g);
+    assert_matches_committed("output/GOLDEN_GRAPHS.txt", &text);
+}
+
+#[test]
+#[ignore = "builds a 14.7M-edge graph; run with --release"]
+fn large_graphs_match_committed_digests() {
+    let mut text = String::from(GRAPHS_HEADER);
+    render_catalog(&mut text, 4.0);
+    let (a, b, c) = RMAT_SKEW;
+    // `native_bench`'s full-scale input.
+    let g = rmat(1 << 21, 7_500_000, a, b, c, true, 0x5eed);
+    render_graph(&mut text, "native_bench-full", "-", &g);
+    assert_matches_committed("output/GOLDEN_GRAPHS_LARGE.txt", &text);
 }
