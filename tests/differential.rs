@@ -13,13 +13,22 @@
 //! 3. the **sanitizer** completes full runs of every variant with contract
 //!    enforcement armed — every dynamic access falls inside a declared
 //!    footprint.
+//!
+//! The conflict sets, race sets and launched kernels of every outcome, and
+//! the census, are pinned across commits in `output/GOLDEN_ANALYSIS.txt`.
 
 use ecl_analyze::{
-    check_suite, default_inputs, diff_suite, launched_kernels_match_contracts, sanitize_run,
-    suite_passes,
+    check_suite, default_inputs, diff_suite, format_census, launched_kernels_match_contracts,
+    sanitize_run, suite_passes,
 };
 use ecl_core::suite::{Algorithm, Variant};
 use ecl_simt::GpuConfig;
+use std::fmt::Write;
+
+mod common;
+use common::assert_part_matches_committed;
+
+const GOLDEN_ANALYSIS: &str = "output/GOLDEN_ANALYSIS.txt";
 
 #[test]
 fn static_checker_passes_the_whole_suite() {
@@ -42,6 +51,16 @@ fn static_checker_passes_the_whole_suite() {
             ),
         }
     }
+    let census = format!("## census\n{}", format_census(&reports));
+    assert_part_matches_committed(GOLDEN_ANALYSIS, "## census", &census);
+}
+
+fn render_set<'a>(text: &mut String, label: &str, items: impl IntoIterator<Item = &'a String>) {
+    write!(text, "{label}:").unwrap();
+    for item in items {
+        write!(text, " {item}").unwrap();
+    }
+    writeln!(text).unwrap();
 }
 
 #[test]
@@ -49,7 +68,15 @@ fn static_and_dynamic_race_views_coincide() {
     let cfg = GpuConfig::test_tiny();
     let outcomes = diff_suite(&cfg, &[1, 2]);
     assert_eq!(outcomes.len(), 12);
+    let mut text = String::from("## differential\n");
     for o in &outcomes {
+        writeln!(text, "# {} {}", o.algorithm, o.variant).unwrap();
+        let pair = |(kernel, buffer): &(String, String)| format!("{kernel}/{buffer}");
+        let statics: Vec<String> = o.static_conflicts.iter().map(pair).collect();
+        let dynamics: Vec<String> = o.dynamic_races.iter().map(pair).collect();
+        render_set(&mut text, "static_conflicts", &statics);
+        render_set(&mut text, "dynamic_races", &dynamics);
+        render_set(&mut text, "launched", &o.launched);
         assert!(
             o.mismatches.is_empty(),
             "{} {}: {}",
@@ -87,6 +114,7 @@ fn static_and_dynamic_race_views_coincide() {
             Variant::Baseline => assert!(o.dynamic_races.is_empty()),
         }
     }
+    assert_part_matches_committed(GOLDEN_ANALYSIS, "## differential", &text);
 }
 
 #[test]

@@ -7,10 +7,14 @@
 //! The full-catalog differential/perf sweep lives in `repair_tool`, whose
 //! `--json` document the CI `repair-gate` job gates on and uploads as
 //! `REPAIR_RESULTS.json`; this test keeps the guarantee in `cargo test` at
-//! a tier-1-friendly input scale.
+//! a tier-1-friendly input scale. What synthesis and verification find is
+//! pinned across commits in `output/GOLDEN_REPAIR.txt`.
 
 use ecl_analyze::differential::default_inputs;
-use ecl_analyze::repair::{oracle_inputs, synthesize, verify, InputComparison, DETECT_SEEDS};
+use ecl_analyze::repair::{
+    oracle_inputs, synthesize, verify, InputComparison, RacyGroup, RepairVerification,
+    RepairedVariant, DETECT_SEEDS,
+};
 use ecl_core::contracts::ir_for_algorithm;
 use ecl_core::primitives::{AccessPolicy, IrDriven};
 use ecl_core::suite::{run_algorithm_checked, run_synthesized, Algorithm, Variant};
@@ -19,10 +23,60 @@ use ecl_simt::{
     catch_any, AccessMode, AccessOp, DevicePtr, ForEach, Gpu, GpuConfig, IndexDiscipline, KernelIr,
     LaunchConfig, ModeTable, OpWidth,
 };
+use std::fmt::Write;
+
+mod common;
+use common::assert_matches_committed;
+
+fn render_groups<'a>(
+    text: &mut String,
+    label: &str,
+    groups: impl IntoIterator<Item = &'a RacyGroup>,
+) {
+    writeln!(text, "{label}").unwrap();
+    for (kernel, buffer) in groups {
+        writeln!(text, "  {kernel}/{buffer}").unwrap();
+    }
+}
+
+/// Renders what synthesis and verification found for one algorithm.
+fn render_repair(text: &mut String, repaired: &RepairedVariant, v: &RepairVerification) {
+    writeln!(text, "# {}", repaired.algorithm).unwrap();
+    render_groups(text, "static_flagged", &repaired.static_flagged);
+    render_groups(text, "dynamic_flagged", &repaired.dynamic_flagged);
+    render_groups(text, "flagged", &repaired.flagged);
+    writeln!(text, "rewrites").unwrap();
+    for r in &repaired.rewrites {
+        writeln!(text, "  {r}").unwrap();
+    }
+    writeln!(text, "verify static_conflicts").unwrap();
+    for c in &v.static_conflicts {
+        writeln!(text, "  {c} pairs={}", c.pairs).unwrap();
+    }
+    render_groups(text, "verify dynamic_races", &v.dynamic_races);
+    writeln!(text, "verify run_failures").unwrap();
+    for f in &v.run_failures {
+        writeln!(text, "  {f}").unwrap();
+    }
+    for c in &v.comparisons {
+        writeln!(
+            text,
+            "comparison {} digests={:016x}/{:016x} cycles={}/{} both_valid={}",
+            c.input,
+            c.synthesized_digest,
+            c.hand_written_digest,
+            c.synthesized_cycles,
+            c.hand_written_cycles,
+            c.both_valid
+        )
+        .unwrap();
+    }
+}
 
 #[test]
 fn every_algorithm_synthesizes_a_verified_race_free_variant() {
     let cfg = GpuConfig::test_tiny();
+    let mut text = String::new();
     for alg in Algorithm::ALL {
         let repaired =
             synthesize(alg, &cfg).unwrap_or_else(|e| panic!("{alg}: synthesis failed: {e}"));
@@ -50,7 +104,9 @@ fn every_algorithm_synthesizes_a_verified_race_free_variant() {
             "{alg}: differential oracle mismatch: {:#?}",
             v.comparisons
         );
+        render_repair(&mut text, &repaired, &v);
     }
+    assert_matches_committed("output/GOLDEN_REPAIR.txt", &text);
 }
 
 #[test]
