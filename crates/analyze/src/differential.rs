@@ -23,6 +23,7 @@ use crate::check::check_algorithm;
 use ecl_core::contracts::for_algorithm;
 use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_graph::{gen, Csr, CsrBuilder};
+use ecl_racecheck::RaceChecker;
 use ecl_simt::{Gpu, GpuConfig};
 use std::collections::BTreeSet;
 
@@ -148,7 +149,7 @@ pub fn diff_algorithm(
         for &seed in seeds {
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_seed(seed);
-            gpu.enable_tracing();
+            gpu.observe(RaceChecker::precise());
             run_variant_on(&mut gpu, algorithm, variant, graph);
             for launch in &gpu.run_stats().launches {
                 launched.insert(launch.name.clone());

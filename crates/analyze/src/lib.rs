@@ -14,7 +14,7 @@
 //!   the paper's benign-race taxonomy (§IV-B). A conflict with no benign
 //!   class is a checker failure.
 //! - [`differential`] is the **dynamic/static differential harness**: it
-//!   runs each algorithm variant on small inputs under the trace-based
+//!   runs each algorithm variant on small inputs under the online race
 //!   detector (`ecl-racecheck`) and demands that the statically-predicted
 //!   conflict set and the dynamically-witnessed race set coincide, kernel by
 //!   kernel and buffer by buffer. A predicted-but-never-witnessed conflict

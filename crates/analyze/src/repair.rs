@@ -33,7 +33,7 @@
 //!   variants). Sound by construction — flagged pairs became atomic-atomic
 //!   (rule 1) and a mode flip can never *undischarge* a pair — but checked,
 //!   not assumed.
-//! - **dynamic**: traced executions under the mode table, with the
+//! - **dynamic**: race-checked executions under the mode table, with the
 //!   re-lowered contracts armed as a sanitizer, report zero races across the
 //!   same inputs and seeds that witness every baseline race.
 //! - **differential**: the synthesized variant's solution digest matches the
@@ -55,6 +55,7 @@ use ecl_core::SimOptions;
 use ecl_graph::inputs::{directed_catalog, undirected_catalog, GraphInput};
 use ecl_graph::Csr;
 use ecl_native::pool;
+use ecl_racecheck::RaceChecker;
 use ecl_simt::{
     catch_sim, lower_all, AccessMode, Gpu, GpuConfig, KernelContract, KernelIr, ModeTable, OpKind,
     OpWidth, SimError,
@@ -82,7 +83,7 @@ pub enum RepairError {
         /// The kernel the detector named.
         kernel: String,
     },
-    /// A traced run the dynamic detector flags from failed (a watchdog
+    /// A checked run the dynamic detector flags from failed (a watchdog
     /// timeout, an out-of-bounds access, ...), so its races cannot be
     /// collected.
     DetectionRunFailed {
@@ -108,7 +109,7 @@ impl std::fmt::Display for RepairError {
             }
             RepairError::DetectionRunFailed { input, seed, error } => write!(
                 f,
-                "traced detection run on diff-input-{input} seed {seed} failed: {error}"
+                "detection run on diff-input-{input} seed {seed} failed: {error}"
             ),
         }
     }
@@ -195,7 +196,7 @@ pub fn dynamic_race_groups(
         for &seed in seeds {
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_seed(seed);
-            gpu.enable_tracing();
+            gpu.observe(RaceChecker::precise());
             catch_sim(|| drop(run_variant_on(&mut gpu, algorithm, variant, graph)))
                 .map_err(|error| RepairError::DetectionRunFailed { input, seed, error })?;
             for report in ecl_racecheck::check_races(&gpu) {
@@ -220,7 +221,7 @@ pub fn dynamic_race_groups(
 ///
 /// # Errors
 ///
-/// Returns [`RepairError`] when a traced baseline run fails, or when a
+/// Returns [`RepairError`] when a checked baseline run fails, or when a
 /// flagged group names a kernel the IR does not know or contains no
 /// repairable op.
 pub fn synthesize(algorithm: Algorithm, cfg: &GpuConfig) -> Result<RepairedVariant, RepairError> {
@@ -429,16 +430,16 @@ pub fn verify(
     // Oracle 1: static pair analysis over the re-lowered contracts.
     let static_conflicts = check_contracts(&repaired.contracts);
 
-    // Oracle 2: dynamic detector + contract sanitizer on traced runs under
-    // the mode table. Serial on purpose: each traced run holds its whole
-    // access trace, so side-by-side runs multiply peak memory (DESIGN.md §14).
+    // Oracle 2: race checker + contract sanitizer on checked runs under the
+    // mode table. Serial: spreading these runs over the job pool is a
+    // measured follow-up (DESIGN.md §14).
     let mut dynamic_races = BTreeSet::new();
     let mut run_failures = Vec::new();
     for (input, graph) in default_inputs(algorithm).iter().enumerate() {
         for &seed in &DETECT_SEEDS {
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_seed(seed);
-            gpu.enable_tracing();
+            gpu.observe(RaceChecker::precise());
             gpu.install_contracts(repaired.contracts.iter().cloned());
             gpu.install_mode_table(repaired.mode_table.clone());
             if let Err(e) =

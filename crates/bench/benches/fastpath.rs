@@ -1,11 +1,12 @@
 //! Criterion benchmarks of the hot/slow-path split: the same kernels run
 //! through the monomorphized `NoHooks` fast path and through the fully
-//! hooked interpreter (with and without tracing armed), so the per-access
-//! cost of the hook sites is directly visible. `perf_bench` is the
+//! hooked interpreter (with and without the race checker armed), so the
+//! per-access cost of the hook sites is directly visible. `perf_bench` is the
 //! headline-number harness (Maccesses/sec, JSON output, CI regression
 //! check); these benches are the fine-grained side-by-side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ecl_racecheck::RaceChecker;
 use ecl_simt::{ForEach, FullHooks, Gpu, GpuConfig, LaunchConfig, NoHooks};
 use std::hint::black_box;
 
@@ -48,16 +49,16 @@ fn bench_stream_paths(c: &mut Criterion) {
             black_box(stream_pass_fast(&mut gpu))
         });
     });
-    group.bench_function("fullhooks_untraced", |b| {
+    group.bench_function("fullhooks_unchecked", |b| {
         b.iter(|| {
             let mut gpu = Gpu::new(GpuConfig::titan_v());
             black_box(stream_pass_hooked(&mut gpu))
         });
     });
-    group.bench_function("fullhooks_traced", |b| {
+    group.bench_function("fullhooks_checked", |b| {
         b.iter(|| {
             let mut gpu = Gpu::new(GpuConfig::titan_v());
-            gpu.enable_tracing();
+            gpu.observe(RaceChecker::precise());
             black_box(stream_pass_hooked(&mut gpu))
         });
     });
@@ -81,10 +82,10 @@ fn bench_auto_dispatch(c: &mut Criterion) {
             ))
         });
     });
-    group.bench_function("forced_hooked_by_tracing", |b| {
+    group.bench_function("forced_hooked_by_checker", |b| {
         b.iter(|| {
             let mut gpu = Gpu::new(cfg.clone());
-            gpu.enable_tracing();
+            gpu.observe(RaceChecker::precise());
             black_box(ecl_core::cc::run_on::<ecl_core::primitives::Atomic>(
                 &mut gpu,
                 &graph,

@@ -1,6 +1,6 @@
 //! A Compute-Sanitizer-style command-line race checker for the suite: runs
-//! one algorithm/variant/input combination under tracing and prints every
-//! detected data race.
+//! one algorithm/variant/input combination with the race checker armed and
+//! prints every detected data race.
 //!
 //! ```text
 //! cargo run --release -p ecl-bench --bin racecheck_tool -- \
@@ -13,9 +13,9 @@
 //! `--json` replaces the human-readable summary with one JSON document
 //! (schema `ecl-bench/RACECHECK/v1`) carrying every deduplicated finding —
 //! the machine-readable form CI jobs and the differential harness diff
-//! against.
+//! against. Its `trace_len` counts every access the checker saw.
 //!
-//! `--max-pairs N` runs the detector in bounded-memory mode: at most N
+//! `--max-pairs N` runs the checker in bounded-memory mode: at most N
 //! distinct conflicting access pairs are retained as evidence per finding,
 //! with the overflow counted rather than stored. Findings whose evidence was
 //! cut off appear in a typed `truncated` list in the JSON output (and are
@@ -23,24 +23,18 @@
 //! complete one. The finding set itself is identical to an unbounded run —
 //! only the retained evidence is bounded.
 //!
-//! A trace that filled its event cap is analyzed as the prefix it holds.
-//! The JSON output then carries `trace_dropped` (the number of events past
-//! the cap) and the summary prints it; complete traces omit both.
-//!
-//! Exit codes (for CI gating): 0 = no races in a complete trace, 1 = races
-//! detected (a truncated trace's prefix has no false positives), 2 = no
-//! races in a truncated trace (`"pass": false`: the unanalyzed tail may
-//! race), or a usage or I/O error (unknown algorithm/input/mode,
-//! unreadable `--mtx` file).
+//! Exit codes (for CI gating): 0 = no races, 1 = races detected, 2 = a
+//! usage or I/O error (unknown flag, algorithm, variant, input or mode, a
+//! bad value, an unreadable `--mtx` file).
 
 use ecl_bench::export::Json;
 use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_racecheck::{
-    access_profile, check_races_bounded, check_races_hb, check_races_with_mode, format_profile,
-    format_summary, BoundedDetection, BoundedFinding, ConflictPair, DetectorMode, RaceReport,
-    RaceSite,
+    access_profile, check_races_bounded, check_races_with_mode, format_profile, format_summary,
+    AccessProfiler, BoundedDetection, BoundedFinding, ConflictPair, DetectorMode, RaceChecker,
+    RaceReport, RaceSite,
 };
-use ecl_simt::{Gpu, GpuConfig};
+use ecl_simt::{Gpu, GpuConfig, Space};
 use std::process::ExitCode;
 
 fn site_json(s: &RaceSite) -> Json {
@@ -96,30 +90,52 @@ fn report_json(r: &RaceReport) -> Json {
     ])
 }
 
-/// The exit code for a run; only 0 passes. Races found in a truncated
-/// trace are real, but a truncated trace without races proves nothing.
-fn verdict(races: bool, trace_dropped: Option<u64>) -> u8 {
-    match (races, trace_dropped) {
-        (true, _) => 1,
-        (false, Some(_)) => 2,
-        (false, None) => 0,
-    }
-}
-
 /// Prints a diagnostic to stderr and exits with the usage/I/O error code.
 fn usage_error(message: String) -> ExitCode {
     eprintln!("racecheck_tool: {message}");
     ExitCode::from(2)
 }
 
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--alg",
+    "--variant",
+    "--input",
+    "--scale",
+    "--mtx",
+    "--mode",
+    "--max-pairs",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 2] = ["--profile", "--json"];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut values: Vec<(&str, String)> = Vec::new();
+    let mut switches: Vec<&str> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == arg) {
+            match args.next() {
+                Some(value) => values.push((flag, value)),
+                None => return usage_error(format!("{flag} needs a value")),
+            }
+        } else if let Some(&switch) = SWITCHES.iter().find(|&&f| f == arg) {
+            switches.push(switch);
+        } else {
+            return usage_error(format!(
+                "unknown argument '{arg}' (flags: {} {})",
+                VALUE_FLAGS.join(" "),
+                SWITCHES.join(" ")
+            ));
+        }
+    }
     let get = |flag: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map_or_else(|| default.to_string(), |(_, v)| v.clone())
     };
 
     let alg = get("--alg", "cc").to_lowercase();
@@ -131,12 +147,28 @@ fn main() -> ExitCode {
     };
     let mode = get("--mode", "precise");
     let mtx_path = get("--mtx", "");
-    let max_pairs: Option<usize> = match args.iter().position(|a| a == "--max-pairs") {
-        Some(i) => match args.get(i + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => Some(n),
+    let max_pairs: Option<usize> = match values.iter().rev().find(|(f, _)| *f == "--max-pairs") {
+        Some((_, v)) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Some(n),
             _ => return usage_error("--max-pairs needs a positive integer".into()),
         },
         None => None,
+    };
+    let algorithm = match Algorithm::parse(&alg) {
+        Some(a) if a != Algorithm::Apsp => a,
+        _ => return usage_error(format!("unknown algorithm '{alg}' (cc|gc|mis|mst|scc)")),
+    };
+    let which = match variant.as_str() {
+        "baseline" => Variant::Baseline,
+        "race-free" | "racefree" => Variant::RaceFree,
+        other => return usage_error(format!("unknown variant '{other}' (baseline|race-free)")),
+    };
+    let detector_mode = match mode.as_str() {
+        "precise" => DetectorMode::Precise,
+        "shared-only" => DetectorMode::SharedOnly,
+        "no-launch-barrier" => DetectorMode::NoLaunchBarrier,
+        "happens-before" | "hb" => DetectorMode::HappensBefore,
+        other => return usage_error(format!("unknown detector mode '{other}'")),
     };
 
     // Input: a real .mtx file when given, else a catalog stand-in.
@@ -159,46 +191,25 @@ fn main() -> ExitCode {
             Err(e) => return usage_error(e.to_string()),
         }
     };
+    let profile = switches.contains(&"--profile");
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
-    gpu.enable_tracing();
-    let algorithm = match Algorithm::parse(&alg) {
-        Some(a) if a != Algorithm::Apsp => a,
-        _ => return usage_error(format!("unknown algorithm '{alg}' (cc|gc|mis|mst|scc)")),
-    };
-    let which = if variant == "race-free" || variant == "racefree" {
-        Variant::RaceFree
-    } else {
-        Variant::Baseline
-    };
+    gpu.observe(RaceChecker::new(&[detector_mode], max_pairs.unwrap_or(1)));
+    if profile {
+        gpu.observe(AccessProfiler::default());
+    }
     run_variant_on(&mut gpu, algorithm, which, &graph);
 
-    let trace_len = gpu.trace().map(|t| t.len()).unwrap_or(0);
-    let trace_dropped = gpu.trace().and_then(|t| t.truncated());
-    let detector_mode = match mode.as_str() {
-        "precise" => Some(DetectorMode::Precise),
-        "shared-only" => Some(DetectorMode::SharedOnly),
-        "no-launch-barrier" => Some(DetectorMode::NoLaunchBarrier),
-        "happens-before" | "hb" => None,
-        other => return usage_error(format!("unknown detector mode '{other}'")),
+    let checker = gpu.sink::<RaceChecker>().expect("armed above");
+    let trace_len = checker.observed(Space::Global) + checker.observed(Space::Shared);
+    let (reports, bounded): (Vec<RaceReport>, Option<BoundedDetection>) = match max_pairs {
+        Some(_) => {
+            let detection = check_races_bounded(&gpu, detector_mode);
+            (detection.reports(), Some(detection))
+        }
+        None => (check_races_with_mode(&gpu, detector_mode), None),
     };
-    let (reports, bounded): (Vec<RaceReport>, Option<BoundedDetection>) =
-        match (detector_mode, max_pairs) {
-            (Some(m), Some(cap)) => {
-                let detection = check_races_bounded(&gpu, m, cap);
-                (detection.reports(), Some(detection))
-            }
-            (Some(m), None) => (check_races_with_mode(&gpu, m), None),
-            (None, Some(_)) => {
-                return usage_error(
-                    "--max-pairs requires a trace-replay mode (precise|shared-only|\
-                     no-launch-barrier), not happens-before"
-                        .into(),
-                )
-            }
-            (None, None) => (check_races_hb(&gpu), None),
-        };
-    let exit = verdict(!reports.is_empty(), trace_dropped);
-    if args.iter().any(|a| a == "--json") {
+    let exit = u8::from(!reports.is_empty());
+    if switches.contains(&"--json") {
         // In bounded mode each report carries its retained pair evidence,
         // and findings whose evidence was cut off are listed under a typed
         // `truncated` marker so a capped run reads as capped.
@@ -227,18 +238,13 @@ fn main() -> ExitCode {
             ("input", Json::Str(input_label.clone())),
             ("mode", Json::Str(mode.clone())),
             ("trace_len", Json::Num(trace_len as f64)),
-        ];
-        if let Some(dropped) = trace_dropped {
-            doc_fields.push(("trace_dropped", Json::Num(dropped as f64)));
-        }
-        doc_fields.extend([
             ("findings", Json::Num(reports.len() as f64)),
             (
                 "occurrences",
                 Json::Num(reports.iter().map(|r| r.occurrences).sum::<u64>() as f64),
             ),
             ("reports", Json::Arr(report_docs)),
-        ]);
+        ];
         if let Some(detection) = &bounded {
             doc_fields.push(("max_pairs", Json::Num(max_pairs.unwrap_or_default() as f64)));
             doc_fields.push((
@@ -257,13 +263,7 @@ fn main() -> ExitCode {
         println!("{}", doc.render());
         return ExitCode::from(exit);
     }
-    println!("{alg} {variant} on {input_label}: {trace_len} traced accesses\n");
-    if let Some(dropped) = trace_dropped {
-        println!(
-            "trace truncated: {dropped} access(es) past the event cap were not analyzed; \
-             finding no race here does not pass\n"
-        );
-    }
+    println!("{alg} {variant} on {input_label}: {trace_len} checked accesses\n");
     print!("{}", format_summary(&reports));
     if let Some(detection) = &bounded {
         let cut = detection.truncated();
@@ -289,61 +289,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.iter().any(|a| a == "--profile") {
+    if profile {
         // §VI-C: which shared arrays carry the traffic (and how racy it is).
         println!("\naccess profile:");
         print!("{}", format_profile(&access_profile(&gpu)));
     }
     ExitCode::from(exit)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::verdict;
-    use ecl_racecheck::check_races;
-    use ecl_simt::{ForEach, Gpu, GpuConfig, LaunchConfig};
-
-    /// 64 threads, each writing its own element, optionally then reading
-    /// element 0 (racing with thread 0's write).
-    fn run(cap: Option<usize>, racy: bool) -> Gpu {
-        let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        gpu.enable_tracing_with_cap(cap);
-        let cells = gpu.alloc::<u32>(64);
-        gpu.launch(
-            LaunchConfig::for_items(64),
-            ForEach::new("own_cell", 64, move |ctx, i| {
-                ctx.store(cells.at(i as usize), i);
-                if racy {
-                    let _ = ctx.load(cells.at(0));
-                }
-            }),
-        );
-        gpu
-    }
-
-    fn verdict_of(gpu: &Gpu) -> u8 {
-        let trace = gpu.trace().expect("traced");
-        verdict(!check_races(gpu).is_empty(), trace.truncated())
-    }
-
-    #[test]
-    fn complete_race_free_trace_passes() {
-        let gpu = run(None, false);
-        assert_eq!(gpu.trace().unwrap().truncated(), None);
-        assert_eq!(verdict_of(&gpu), 0);
-    }
-
-    #[test]
-    fn truncated_race_free_trace_does_not_pass() {
-        let gpu = run(Some(16), false);
-        assert_eq!(gpu.trace().unwrap().truncated(), Some(48));
-        assert_eq!(verdict_of(&gpu), 2);
-    }
-
-    #[test]
-    fn races_in_a_truncated_trace_still_exit_one() {
-        let gpu = run(Some(100), true);
-        assert!(gpu.trace().unwrap().truncated().is_some());
-        assert_eq!(verdict_of(&gpu), 1);
-    }
 }

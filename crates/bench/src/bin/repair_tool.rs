@@ -15,8 +15,9 @@
 //!
 //! 1. the **static** oracle — the pair analysis discharges every
 //!    write-involving pair of the re-lowered contracts;
-//! 2. the **dynamic** oracle — traced runs under the mode table (with the
-//!    re-lowered contracts armed as a sanitizer) witness zero races;
+//! 2. the **dynamic** oracle — race-checked runs under the mode table
+//!    (with the re-lowered contracts armed as a sanitizer) witness zero
+//!    races;
 //! 3. the **differential** oracle — the synthesized variant's solution
 //!    digest matches the hand-written race-free variant's on every catalog
 //!    input.

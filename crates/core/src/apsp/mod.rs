@@ -58,8 +58,7 @@ pub fn run(g: &Csr, cfg: &GpuConfig, seed: u64) -> ApspResult {
 }
 
 /// Runs the blocked Floyd-Warshall kernels on a caller-provided GPU (e.g.
-/// with simulator options, tracing for the race detector, or the contract
-/// sanitizer).
+/// with simulator options, a race checker, or the contract sanitizer).
 ///
 /// # Panics
 ///
@@ -247,7 +246,7 @@ mod tests {
         // the race detector on a multi-tile instance.
         let g = gen::grid2d_torus(6, 6).with_random_weights(9, 3);
         let mut gpu = ecl_simt::Gpu::new(GpuConfig::test_tiny());
-        gpu.enable_tracing();
+        gpu.observe(ecl_racecheck::RaceChecker::precise());
         run_on(&mut gpu, &g);
         assert!(ecl_racecheck::check_races(&gpu).is_empty());
     }

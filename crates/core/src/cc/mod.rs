@@ -55,7 +55,7 @@ pub fn run<P: AccessPolicy>(
 
 /// Runs the ECL-CC kernels on a caller-provided GPU — use this instead of
 /// [`run`] when you need device-level control such as simulator options,
-/// tracing for the race detector, or the contract sanitizer.
+/// a race checker, or the contract sanitizer.
 ///
 /// # Panics
 ///

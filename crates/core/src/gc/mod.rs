@@ -63,7 +63,7 @@ pub fn run<P: AccessPolicy, Q: AccessPolicy>(
 }
 
 /// Runs the ECL-GC kernels on a caller-provided GPU (e.g. with simulator
-/// options, tracing for the race detector, or the contract sanitizer).
+/// options, a race checker, or the contract sanitizer).
 ///
 /// # Panics
 ///

@@ -289,7 +289,7 @@ impl Solution {
 }
 
 /// Runs `algorithm` in flavor `F` on a caller-provided GPU — configured,
-/// seeded, and optionally traced, sanitized, or carrying a mode table —
+/// seeded, and optionally race-checked, sanitized, or carrying a mode table —
 /// and returns its unverified solution. This is the one dispatch from an
 /// algorithm to its kernels. Missing edge weights are synthesized
 /// ([`with_suite_weights`]).

@@ -1,10 +1,11 @@
-//! Dynamic data-race detection over `ecl-simt` access traces.
+//! Dynamic data-race detection for `ecl-simt` runs.
 //!
 //! The paper identifies the races in the baseline ECL codes with a
 //! combination of NVIDIA Compute Sanitizer, iGuard, and manual inspection
-//! (§IV). This crate plays the same role for the simulator: it consumes the
-//! [`ecl_simt::Trace`] recorded during a run and reports every pair of
-//! conflicting accesses.
+//! (§IV). This crate plays the same role for the simulator: a
+//! [`RaceChecker`] armed on a [`ecl_simt::Gpu`] checks each device memory
+//! access as the kernel runs and reports every pair of conflicting
+//! accesses.
 //!
 //! Two accesses *conflict* when they touch overlapping bytes, come from
 //! different threads, at least one writes, and they are not both atomic.
@@ -18,16 +19,18 @@
 //!
 //! [`DetectorMode`] reproduces the blind spots of the real tools the paper
 //! discusses: Compute Sanitizer's racecheck only examines shared memory, and
-//! iGuard misses the implicit inter-launch barrier (false positives).
+//! iGuard misses the implicit inter-launch barrier (false positives). Its
+//! happens-before mode also honours release→acquire atomics, as
+//! ThreadSanitizer does. One checker runs any set of modes over one run.
 //!
 //! # Example
 //!
 //! ```
 //! use ecl_simt::{ForEach, Gpu, GpuConfig, LaunchConfig};
-//! use ecl_racecheck::check_races;
+//! use ecl_racecheck::{check_races, RaceChecker};
 //!
 //! let mut gpu = Gpu::new(GpuConfig::test_tiny());
-//! gpu.enable_tracing();
+//! gpu.observe(RaceChecker::precise());
 //! let shared = gpu.alloc::<u32>(1);
 //! gpu.launch(
 //!     LaunchConfig::for_items(64),
@@ -40,16 +43,14 @@
 //! assert!(!report.is_empty());
 //! ```
 
-mod detect;
-mod hb;
+mod checker;
 mod profile;
 mod report;
 mod shadow;
 
-pub use detect::{
+pub use checker::{
     check_races, check_races_bounded, check_races_with_mode, BoundedDetection, BoundedFinding,
-    ConflictPair, DetectorMode,
+    ConflictPair, DetectorMode, RaceChecker,
 };
-pub use hb::check_races_hb;
-pub use profile::{access_profile, format_profile, AllocationProfile};
+pub use profile::{access_profile, format_profile, AccessProfiler, AllocationProfile};
 pub use report::{format_summary, RaceClass, RaceReport, RaceSite};

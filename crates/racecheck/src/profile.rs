@@ -2,13 +2,15 @@
 //! observation that "the execution frequency of the affected code section
 //! plays an important role in determining the performance impact".
 //!
-//! Given a traced run, [`access_profile`] counts how often each named
-//! allocation was touched with each access mode, so one can see at a glance
-//! which shared arrays dominate a code's traffic (e.g. CC's `label` array)
-//! and therefore how much a race-free conversion of that array will cost.
+//! An armed [`AccessProfiler`] counts how often each allocation is touched
+//! with each access mode, and [`access_profile`] names the counts, so one
+//! can see at a glance which shared arrays dominate a code's traffic (e.g.
+//! CC's `label` array) and therefore how much a race-free conversion of
+//! that array will cost.
 
-use ecl_simt::{AccessMode, Gpu};
-use std::collections::BTreeMap;
+use ecl_simt::mem::Memory;
+use ecl_simt::{AccessEvent, AccessMode, AccessSink, Gpu, Space};
+use std::collections::{BTreeMap, HashMap};
 
 /// Access counts for one allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,35 +40,56 @@ impl AllocationProfile {
     }
 }
 
-/// Aggregates the traced global-memory accesses per named allocation.
-/// Unnamed allocations are grouped under their base address rendered as
-/// hex.
-///
-/// # Panics
-///
-/// Panics if tracing was not enabled on the GPU.
-pub fn access_profile(gpu: &Gpu) -> BTreeMap<String, AllocationProfile> {
-    let trace = gpu
-        .trace()
-        .expect("profiling needs a trace: call Gpu::enable_tracing() before launching");
-    let mut out: BTreeMap<String, AllocationProfile> = BTreeMap::new();
-    for e in trace.events() {
-        if e.space != ecl_simt::Space::Global {
-            continue;
+/// An [`AccessSink`] that counts global-memory accesses per allocation and
+/// mode. Arm it with [`Gpu::observe`] before launching; [`access_profile`]
+/// reads it.
+#[derive(Debug, Default)]
+pub struct AccessProfiler {
+    /// Allocation base (`None` for an address in no allocation) → counts.
+    by_base: HashMap<Option<u32>, AllocationProfile>,
+}
+
+impl AccessSink for AccessProfiler {
+    fn launch(&mut self, _id: u32, _kernel: &str) {}
+
+    fn access(&mut self, e: &AccessEvent, memory: &Memory) {
+        if e.space != Space::Global {
+            return;
         }
-        let name = match gpu.memory().allocation_name(e.addr) {
-            Some(n) => n.to_string(),
-            None => match gpu.memory().allocation_of(e.addr) {
-                Some((base, _)) => format!("{base:#x}"),
-                None => "<unknown>".to_string(),
-            },
-        };
-        let entry = out.entry(name).or_default();
+        let base = memory.allocation_of(e.addr).map(|(base, _)| base);
+        let entry = self.by_base.entry(base).or_default();
         match e.mode {
             AccessMode::Plain => entry.plain += 1,
             AccessMode::Volatile => entry.volatile_accesses += 1,
             AccessMode::Atomic => entry.atomic += 1,
         }
+    }
+}
+
+/// The armed profiler's counts per named allocation. Unnamed allocations
+/// are grouped under their base address rendered as hex.
+///
+/// # Panics
+///
+/// Panics if no [`AccessProfiler`] was armed on the GPU before launching.
+pub fn access_profile(gpu: &Gpu) -> BTreeMap<String, AllocationProfile> {
+    let profiler = gpu.sink::<AccessProfiler>().expect(
+        "profiling needs an armed profiler: call gpu.observe(AccessProfiler::default()) \
+         before launching",
+    );
+    let mut out: BTreeMap<String, AllocationProfile> = BTreeMap::new();
+    for (base, counts) in &profiler.by_base {
+        let name = match base {
+            Some(base) => gpu
+                .memory()
+                .allocation_name(*base)
+                .map_or_else(|| format!("{base:#x}"), str::to_string),
+            None => "<unknown>".to_string(),
+        };
+        let entry = out.entry(name).or_default();
+        entry.plain += counts.plain;
+        entry.volatile_accesses += counts.volatile_accesses;
+        entry.atomic += counts.atomic;
     }
     out
 }
@@ -100,7 +123,7 @@ mod tests {
     #[test]
     fn profiles_by_allocation_and_mode() {
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        gpu.enable_tracing();
+        gpu.observe(AccessProfiler::default());
         let named = gpu.alloc_named::<u32>(64, "labels");
         let anon = gpu.alloc::<u32>(64);
         gpu.launch(
@@ -130,8 +153,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "enable_tracing")]
-    fn untraced_profile_panics() {
+    #[should_panic(expected = "armed profiler")]
+    fn unarmed_profile_panics() {
         let gpu = Gpu::new(GpuConfig::test_tiny());
         let _ = access_profile(&gpu);
     }

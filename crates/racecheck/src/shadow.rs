@@ -1,4 +1,4 @@
-//! Shadow memory shared by both race detectors.
+//! Shadow memory: what each detector mode remembers about every location.
 //!
 //! A detector remembers, per byte, up to [`RECS_PER_BYTE`] distinct
 //! accesses, and checks each new access against every byte it touches: the
@@ -6,9 +6,8 @@
 //! then the new access is remembered there. [`Shadow`] stores these lists
 //! without one map entry per byte:
 //!
-//! - **Indexing.** Global memory is indexed by arena word, in a table sized
-//!   from the arena's footprint; shared memory by (block, word), in tables
-//!   that grow on demand.
+//! - **Indexing.** Global memory is indexed by arena word, shared memory by
+//!   (block, word), in tables that grow on demand.
 //! - **Words.** A word keeps one list while every access to it covered all
 //!   four bytes. Such an access remembers the same record in each byte's
 //!   list, so the four lists are equal and finding the first conflict once
@@ -17,8 +16,8 @@
 //! - **Reads.** Two reads never conflict, so a read scans only the
 //!   remembered writes; a write scans every record in insertion order.
 //! - **Reset.** [`Shadow::reset`] forgets every location and keeps the
-//!   lists' storage for reuse. Detectors whose locations are per launch
-//!   call it at each launch boundary.
+//!   lists' storage for reuse. Modes whose locations are per launch call it
+//!   at each launch boundary.
 
 use ecl_simt::{AccessEvent, Space};
 
@@ -130,10 +129,10 @@ pub(crate) struct Shadow<R> {
 }
 
 impl<R: Record> Shadow<R> {
-    /// An empty shadow for a global arena of `global_bytes` bytes.
-    pub(crate) fn new(global_bytes: usize) -> Self {
+    /// An empty shadow.
+    pub(crate) fn new() -> Self {
         Shadow {
-            global: vec![EMPTY; global_bytes.div_ceil(4)],
+            global: Vec::new(),
             touched: Vec::new(),
             shared: Vec::new(),
             lists: Lists {

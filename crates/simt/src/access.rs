@@ -83,7 +83,7 @@ pub enum Scope {
     System,
 }
 
-/// The direction/shape of an access, used by the trace and race detector.
+/// The direction/shape of an access, used by access sinks and the race checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read.

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use crate::access::{AccessKind, AccessMode};
 use crate::error::SimError;
 use crate::mem::Memory;
-use crate::trace::Space;
+use crate::sink::Space;
 
 /// The buffer name contracts use for per-block shared memory (shared
 /// accesses carry byte offsets, not arena addresses, so there is no named

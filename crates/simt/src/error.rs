@@ -106,7 +106,7 @@ pub struct ContractViolationDetail {
     /// Name of the buffer touched (or `?` when unresolvable).
     pub buffer: String,
     /// Address space of the access.
-    pub space: crate::trace::Space,
+    pub space: crate::sink::Space,
     /// Access mode the faulting operation issued.
     pub mode: crate::access::AccessMode,
     /// What the faulting operation did (load/store/RMW).
@@ -332,7 +332,7 @@ mod tests {
                 thread: 3,
                 addr: 0x100,
                 buffer: "label".into(),
-                space: crate::trace::Space::Global,
+                space: crate::sink::Space::Global,
                 mode: crate::access::AccessMode::Volatile,
                 kind: AccessKind::Store,
                 offset: Some(256),

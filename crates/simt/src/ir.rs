@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use crate::access::{AccessKind, AccessMode};
 use crate::contract::{BenignClass, FootprintEntry, IndexDiscipline, KernelContract};
 use crate::mem::Memory;
-use crate::trace::Space;
+use crate::sink::Space;
 
 /// What a kernel does to a buffer at one access site.
 ///

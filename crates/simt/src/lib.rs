@@ -56,7 +56,7 @@ pub mod host;
 pub mod ir;
 pub mod mem;
 pub mod metrics;
-pub mod trace;
+pub mod sink;
 
 pub use access::{AccessKind, AccessMode, MemOrder, Scope};
 pub use config::GpuConfig;
@@ -71,4 +71,4 @@ pub use host::Gpu;
 pub use ir::{lower_all, AccessOp, KernelIr, ModePair, ModeTable, OpKind, OpWidth};
 pub use mem::{DeviceBuffer, DevicePtr, DeviceValue, MemLevel};
 pub use metrics::KernelStats;
-pub use trace::{AccessEvent, Space, Trace, DEFAULT_EVENT_CAP};
+pub use sink::{AccessEvent, AccessSink, Space};

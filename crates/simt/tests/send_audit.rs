@@ -12,7 +12,6 @@
 use ecl_simt::metrics::RunStats;
 use ecl_simt::{
     AccessEvent, DeviceBuffer, DevicePtr, FaultPlan, FaultReport, GpuConfig, KernelStats, SimError,
-    Trace,
 };
 
 fn assert_send<T: Send>() {}
@@ -34,7 +33,6 @@ fn sweep_outputs_are_sendable_back() {
     assert_send::<KernelStats>();
     assert_send::<RunStats>();
     assert_send::<FaultReport>();
-    assert_send::<Trace>();
     assert_send::<AccessEvent>();
 }
 

@@ -8,7 +8,7 @@
 
 use ecl_core::primitives::{Atomic, Plain};
 use ecl_core::{cc, mis};
-use ecl_racecheck::{check_races, check_races_with_mode, DetectorMode};
+use ecl_racecheck::{check_races, check_races_with_mode, DetectorMode, RaceChecker};
 use ecl_simt::{Gpu, GpuConfig, StoreVisibility};
 use ecl_suite::prelude::*;
 
@@ -22,9 +22,17 @@ fn main() {
         graph.num_edges()
     );
 
-    // Tracing is a Gpu-level switch, so drive the kernels directly here.
+    // The checker is armed on the Gpu, so drive the kernels directly here.
+    // One run feeds the precise mode and both tools' blind-spot modes.
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
-    gpu.enable_tracing();
+    gpu.observe(RaceChecker::new(
+        &[
+            DetectorMode::Precise,
+            DetectorMode::SharedOnly,
+            DetectorMode::NoLaunchBarrier,
+        ],
+        1,
+    ));
     let baseline_races = {
         let result = cc::run_on::<Plain>(&mut gpu, &graph, StoreVisibility::DeferUntilYield);
         assert!(cc::verify_components(&graph, &result.labels));
@@ -60,7 +68,7 @@ fn main() {
 
     // The race-free conversion is clean.
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
-    gpu.enable_tracing();
+    gpu.observe(RaceChecker::precise());
     let result = cc::run_on::<Atomic>(&mut gpu, &graph, StoreVisibility::Immediate);
     assert!(cc::verify_components(&graph, &result.labels));
     let free_races = check_races(&gpu);
@@ -69,7 +77,7 @@ fn main() {
 
     // Same story for MIS, whose baseline races on the packed status bytes.
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
-    gpu.enable_tracing();
+    gpu.observe(RaceChecker::precise());
     mis::run_on::<ecl_core::primitives::VolatileReadPlainWrite>(
         &mut gpu,
         &graph,

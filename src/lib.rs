@@ -47,6 +47,6 @@ pub mod prelude {
     pub use ecl_core::suite::{run_algorithm, Algorithm, RunResult, Variant};
     pub use ecl_graph::inputs::GraphInput;
     pub use ecl_graph::Csr;
-    pub use ecl_racecheck::{check_races, RaceReport};
+    pub use ecl_racecheck::{check_races, RaceChecker, RaceReport};
     pub use ecl_simt::GpuConfig;
 }

@@ -4,10 +4,10 @@
 //! variant, and GPU preset.
 //!
 //! This is the test that makes the hot/slow-path split safe to maintain:
-//! the fast path elides the tracing/fault/sanitizer hook sites entirely
-//! (they are compiled out via the `Hooks` const generic), and tracing is an
-//! append-only observer, so a hooked-but-tracing run must behave exactly
-//! like an unhooked run. Any divergence — a skipped drain, a cache touch in
+//! the fast path elides the sink/fault/sanitizer hook sites entirely
+//! (they are compiled out via the `Hooks` const generic), and an access
+//! sink only observes, so a hooked run with a sink armed must behave
+//! exactly like an unhooked run. Any divergence — a skipped drain, a cache touch in
 //! one path only, a counter updated differently — fails here on the exact
 //! launch where the two paths split.
 
@@ -16,7 +16,19 @@ use ecl_core::suite::with_suite_weights;
 use ecl_core::{apsp, cc, gc, mis, mst, scc};
 use ecl_graph::gen::rmat;
 use ecl_graph::Csr;
-use ecl_simt::{Gpu, GpuConfig, StoreVisibility};
+use ecl_simt::mem::Memory;
+use ecl_simt::{AccessEvent, AccessSink, Gpu, GpuConfig, StoreVisibility};
+
+/// Counts the accesses it observes.
+struct Counter(u64);
+
+impl AccessSink for Counter {
+    fn launch(&mut self, _id: u32, _kernel: &str) {}
+
+    fn access(&mut self, _event: &AccessEvent, _memory: &Memory) {
+        self.0 += 1;
+    }
+}
 
 /// FNV-1a over raw little-endian bytes: a bit-exact digest of kernel output.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -74,8 +86,8 @@ fn run_combo(gpu: &mut Gpu, algorithm: &str, race_free: bool, graph: &Csr) -> u6
     }
 }
 
-/// Runs the combo twice — once untraced (eligible for, and dispatched to,
-/// the `NoHooks` fast path) and once with tracing armed (forced onto the
+/// Runs the combo twice — once with no hook (eligible for, and dispatched
+/// to, the `NoHooks` fast path) and once with a sink armed (forced onto the
 /// fully-hooked path) — and asserts bitwise equality of results, elapsed
 /// cycles, and every launch's `KernelStats` (cache hits/misses, DRAM
 /// transactions, access counters, steps).
@@ -96,15 +108,15 @@ fn assert_paths_identical(algorithm: &str, race_free: bool, cfg: &GpuConfig, gra
 
     let mut hooked = Gpu::new(cfg.clone());
     hooked.set_seed(0x5eed);
-    hooked.enable_tracing();
+    hooked.observe(Counter(0));
     assert!(
         !hooked.fast_path_eligible(),
-        "{label}: tracing GPU must take the hooked path"
+        "{label}: a GPU with a sink armed must take the hooked path"
     );
     let hooked_digest = run_combo(&mut hooked, algorithm, race_free, graph);
     assert!(
-        !hooked.trace().expect("trace armed").is_empty(),
-        "{label}: the hooked run must actually have traced accesses"
+        hooked.sink::<Counter>().expect("sink armed").0 > 0,
+        "{label}: the hooked run must actually have observed accesses"
     );
 
     assert_eq!(

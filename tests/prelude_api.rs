@@ -16,7 +16,7 @@ fn prelude_covers_the_quickstart_flow() {
 #[test]
 fn prelude_exposes_race_checking() {
     let mut gpu = ecl_suite::simt::Gpu::new(GpuConfig::test_tiny());
-    gpu.enable_tracing();
+    gpu.observe(RaceChecker::precise());
     let cell = gpu.alloc::<u32>(1);
     gpu.launch(
         ecl_suite::simt::LaunchConfig::for_items(16),
