@@ -40,217 +40,94 @@
 //! measured cell, every failed cell, and the per-(GPU, algorithm) summary
 //! rows — plus one `output/repro/<cell>.json` bundle per failed cell with
 //! the exact seeds and a one-command replay line. Exits 1 if any cell
-//! failed, 2 on a resume-identity mismatch, 130 on SIGINT (after flushing
-//! the journal, so the sweep is resumable).
+//! failed, 2 on a resume-identity mismatch or on an argument it cannot
+//! honour (an unknown flag, a missing or unparsable value: one line on
+//! stderr, before anything runs), 130 on SIGINT (after flushing the
+//! journal, so the sweep is resumable).
 
+use ecl_bench::cli::{usage_exit, Args};
+use ecl_bench::isolate::worker_doc;
+use ecl_bench::repro::{write_bundle, Bundle};
 use ecl_bench::{
-    cell_key, format_fig6, format_table9, graph_seed, install_interrupt_handler, interrupted, pool,
-    sched_seed, to_csv, BenchReport, CellFailure, IsolateSpec, Journal, JournalWriter, Json,
-    Matrix, MeasuredTable, SweepControl, SweepTiming,
+    cell_key, format_fig6, format_table9, install_interrupt_handler, interrupted, measure_cell,
+    pool, to_csv, BenchReport, CellFailure, IsolateSpec, Journal, JournalWriter, Json,
+    MeasuredTable, SweepControl, SweepSpec, SweepTiming,
 };
-use ecl_core::suite::{Algorithm, RetryPolicy};
-use ecl_core::SimOptions;
-use ecl_graph::inputs::{directed_catalog, undirected_catalog, GraphInput};
+use ecl_graph::inputs::{directed_catalog, undirected_catalog};
 use ecl_graph::props::properties;
-use ecl_simt::{FaultPlan, GpuConfig, MemLevel};
-use std::path::PathBuf;
+use ecl_simt::GpuConfig;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Everything the CLI configures, shared by the sweep, worker, and replay
-/// entry points so a forwarded flag means the same thing everywhere.
+/// The sweep's command line: the experiment, and how this process runs it.
 #[derive(Debug, Clone)]
 struct Config {
-    scale: f64,
-    runs: usize,
-    seed: u64,
+    spec: SweepSpec,
     jobs: usize,
-    gpus: Vec<GpuConfig>,
-    retries: u32,
-    watchdog: Option<u64>,
-    fault_rate: f64,
-    fault_level: MemLevel,
-    fault_seed: u64,
-    sets: SetSelection,
     out_dir: PathBuf,
     omit_timing: bool,
     isolate: bool,
-    cell_timeout: u64,
     journal: Option<PathBuf>,
     resume: Option<PathBuf>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SetSelection {
-    Undirected,
-    Directed,
-    Both,
-}
+/// Value flags besides the experiment's ([`SweepSpec::FLAGS`]).
+const VALUE_FLAGS: [&str; 6] = [
+    "--jobs",
+    "--out",
+    "--journal",
+    "--resume",
+    "--worker-cell",
+    "--replay",
+];
 
-impl SetSelection {
-    fn names(self) -> Vec<&'static str> {
-        match self {
-            SetSelection::Undirected => vec!["undirected"],
-            SetSelection::Directed => vec!["directed"],
-            SetSelection::Both => vec!["undirected", "directed"],
-        }
-    }
-}
+/// Flags that stand alone.
+const SWITCHES: [&str; 4] = ["--omit-timing", "--isolate", "--list-gpus", "--list-inputs"];
 
 impl Config {
-    fn from_args(args: &[String]) -> Config {
-        let get = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let sets = match get("--sets").as_deref() {
-            None | Some("both") => SetSelection::Both,
-            Some("undirected") => SetSelection::Undirected,
-            Some("directed") => SetSelection::Directed,
-            Some(other) => die(&format!(
-                "unknown --sets '{other}' (want undirected, directed, or both)"
-            )),
-        };
-        let gpus: Vec<GpuConfig> = match get("--gpu") {
-            Some(name) => match GpuConfig::by_name(&name) {
-                Some(g) => vec![g],
-                None => die(&format!("unknown GPU '{name}'; try --list-gpus")),
-            },
-            None => GpuConfig::paper_gpus(),
-        };
-        let fault_level = match get("--fault-level").as_deref() {
-            None | Some("dram") => MemLevel::Dram,
-            Some("l2") => MemLevel::L2,
-            Some("l1") => MemLevel::L1,
-            Some(other) => die(&format!(
-                "unknown --fault-level '{other}' (want dram, l2, or l1)"
-            )),
-        };
-        Config {
-            scale: get("--scale").and_then(|s| s.parse().ok()).unwrap_or(1.0),
-            runs: get("--runs").and_then(|s| s.parse().ok()).unwrap_or(3),
-            seed: get("--seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-            jobs: get("--jobs")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(pool::default_workers),
-            gpus,
-            retries: get("--retries").and_then(|s| s.parse().ok()).unwrap_or(1),
-            watchdog: get("--watchdog").and_then(|s| s.parse().ok()),
-            fault_rate: get("--fault-rate")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0),
-            fault_level,
-            fault_seed: get("--fault-seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42),
-            sets,
-            out_dir: PathBuf::from(get("--out").unwrap_or_else(|| "output".into())),
-            omit_timing: args.iter().any(|a| a == "--omit-timing"),
-            isolate: args.iter().any(|a| a == "--isolate"),
-            cell_timeout: get("--cell-timeout")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(300),
-            journal: get("--journal").map(PathBuf::from),
-            resume: get("--resume").map(PathBuf::from),
-        }
-    }
-
-    fn sim_options(&self, deadline: Option<Instant>) -> SimOptions {
-        SimOptions {
-            watchdog: self.watchdog,
-            fault: (self.fault_rate > 0.0).then(|| {
-                FaultPlan::new(self.fault_seed).with_bitflips(self.fault_rate, self.fault_level)
-            }),
-            deadline,
-            mode_table: None,
-        }
-    }
-
-    fn retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: self.retries.max(1),
-            seed_stride: 1,
-        }
-    }
-
-    fn matrix(&self, deadline: Option<Instant>) -> Matrix {
-        Matrix::quick()
-            .scale(self.scale)
-            .runs(self.runs)
-            .seed(self.seed)
-            .gpus(self.gpus.clone())
-            .jobs(self.jobs)
-            .sim_options(self.sim_options(deadline))
-            .retry(self.retry())
-    }
-
-    /// The flags a per-cell worker needs to reproduce this configuration.
-    /// The cell key (which carries the GPU) travels separately.
-    fn worker_args(&self) -> Vec<String> {
-        let mut a = vec![
-            "--scale".into(),
-            self.scale.to_string(),
-            "--runs".into(),
-            self.runs.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--retries".into(),
-            self.retries.to_string(),
-            "--cell-timeout".into(),
-            self.cell_timeout.to_string(),
-        ];
-        if let Some(w) = self.watchdog {
-            a.push("--watchdog".into());
-            a.push(w.to_string());
-        }
-        if self.fault_rate > 0.0 {
-            a.push("--fault-rate".into());
-            a.push(self.fault_rate.to_string());
-            a.push("--fault-level".into());
-            a.push(
-                match self.fault_level {
-                    MemLevel::Dram => "dram",
-                    MemLevel::L2 => "l2",
-                    MemLevel::L1 => "l1",
-                }
-                .into(),
-            );
-            a.push("--fault-seed".into());
-            a.push(self.fault_seed.to_string());
-        }
-        a
+    fn from_args(args: &Args) -> Result<Config, String> {
+        Ok(Config {
+            spec: SweepSpec::from_args(args)?,
+            jobs: args.parsed("--jobs")?.unwrap_or_else(pool::default_workers),
+            out_dir: PathBuf::from(args.value("--out").unwrap_or("output")),
+            omit_timing: args.has("--omit-timing"),
+            isolate: args.has("--isolate"),
+            journal: args.value("--journal").map(PathBuf::from),
+            resume: args.value("--resume").map(PathBuf::from),
+        })
     }
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+    usage_exit("all_tests", msg)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list-gpus") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags: Vec<&str> = SweepSpec::FLAGS
+        .iter()
+        .chain(&VALUE_FLAGS)
+        .copied()
+        .collect();
+    let args = Args::parse(&argv, &flags, &SWITCHES).unwrap_or_else(|e| die(&e));
+    if args.has("--list-gpus") {
         print_gpus();
         return;
     }
-    if args.iter().any(|a| a == "--list-inputs") {
+    if args.has("--list-inputs") {
         print_inputs();
         return;
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let cfg = Config::from_args(&args);
-    if let Some(key) = get("--worker-cell") {
-        worker_main(&cfg, &key);
+    if let Some(bundle) = args.value("--replay") {
+        if argv.len() > 2 {
+            die("--replay takes no other arguments: the bundle holds the experiment");
+        }
+        replay_main(Path::new(bundle));
         return;
     }
-    if let Some(bundle) = get("--replay") {
-        replay_main(&PathBuf::from(bundle));
+    let cfg = Config::from_args(&args).unwrap_or_else(|e| die(&e));
+    if let Some(key) = args.value("--worker-cell") {
+        worker_main(&cfg.spec, key);
         return;
     }
     sweep_main(&cfg);
@@ -259,7 +136,7 @@ fn main() {
 /// Worker mode: measure exactly one cell and report on stdout. Exits 0
 /// whether the cell measured or failed — the verdict travels in the JSON;
 /// only a *dead* worker (abort, kill, timeout) exits otherwise.
-fn worker_main(cfg: &Config, key: &str) {
+fn worker_main(spec: &SweepSpec, key: &str) {
     // Test hook: a worker whose key matches $ECL_WORKER_PANIC dies before
     // the panic-containment of `run_cell` can see it — the process-level
     // failure mode the isolation layer exists to catch.
@@ -268,41 +145,12 @@ fn worker_main(cfg: &Config, key: &str) {
             panic!("ECL_WORKER_PANIC: injected worker death for '{key}'");
         }
     }
-    let mut parts = key.splitn(4, '/');
-    let (set, input, alg, gpu) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(s), Some(i), Some(a), Some(g)) => (s, i, a, g),
-        _ => die(&format!("malformed --worker-cell key '{key}'")),
-    };
-    let _ = set;
-    let input = GraphInput::by_name(input)
-        .unwrap_or_else(|| die(&format!("unknown input '{input}' in key '{key}'")));
-    let algorithm = Algorithm::parse(alg)
-        .unwrap_or_else(|| die(&format!("unknown algorithm '{alg}' in key '{key}'")));
-    let gpu = GpuConfig::by_name(gpu)
-        .unwrap_or_else(|| die(&format!("unknown gpu '{gpu}' in key '{key}'")));
-
-    // The tentpole deadline plumbing: the worker arms a host wall-clock
-    // deadline slightly inside the parent's kill budget, so a runaway
-    // launch dies as a *typed* SimError (journalable, replayable) rather
-    // than as an opaque SIGKILL.
-    let deadline = Instant::now() + Duration::from_secs_f64(cfg.cell_timeout as f64 * 0.9);
-    let matrix = cfg.matrix(Some(deadline)).gpus(vec![gpu.clone()]);
-    let graph = input.build(cfg.scale, graph_seed(cfg.seed));
-    let props = properties(&graph);
-    let verdict = match matrix.try_measure(input.name(), algorithm, &graph, &gpu, props) {
-        Ok(cell) => ecl_bench::isolate::WorkerVerdict::Ok(ecl_bench::cell_json(&cell)),
-        Err(failure) => {
-            ecl_bench::isolate::WorkerVerdict::Failed(ecl_bench::failure_json(&failure))
-        }
-    };
-    println!(
-        "{}",
-        ecl_bench::isolate::worker_doc(&verdict).render_compact()
-    );
+    let verdict = measure_cell(spec, key).unwrap_or_else(|e| die(&e));
+    println!("{}", worker_doc(&verdict).render_compact());
 }
 
 /// Replay mode: re-run exactly the failed cell a repro bundle describes.
-fn replay_main(bundle_path: &std::path::Path) {
+fn replay_main(bundle_path: &Path) {
     let text = std::fs::read_to_string(bundle_path).unwrap_or_else(|e| {
         die(&format!(
             "cannot read bundle {}: {e}",
@@ -315,10 +163,11 @@ fn replay_main(bundle_path: &std::path::Path) {
             bundle_path.display()
         ))
     });
-    if bundle.get("schema").and_then(Json::as_str) != Some(REPRO_SCHEMA) {
+    if bundle.get("schema").and_then(Json::as_str) != Some(ecl_bench::repro::SCHEMA) {
         die(&format!(
-            "{} is not a {REPRO_SCHEMA} bundle",
-            bundle_path.display()
+            "{} is not a {} bundle",
+            bundle_path.display(),
+            ecl_bench::repro::SCHEMA
         ));
     }
     let key = bundle
@@ -333,38 +182,10 @@ fn replay_main(bundle_path: &std::path::Path) {
         .iter()
         .filter_map(|a| a.as_str().map(str::to_string))
         .collect();
-    let cfg = Config::from_args(&args);
+    let spec =
+        SweepSpec::from_argv(&args).unwrap_or_else(|e| die(&format!("bundle replay.args: {e}")));
     eprintln!("replaying {key} with {}", args.join(" "));
-    worker_main(&cfg, key);
-}
-
-/// Schema tag of a repro bundle.
-const REPRO_SCHEMA: &str = ecl_bench::repro::SCHEMA;
-
-/// The `experiment` block every repro bundle records.
-fn repro_experiment_json(cfg: &Config) -> Json {
-    Json::obj(vec![
-        ("scale", Json::Num(cfg.scale)),
-        ("runs", Json::Num(cfg.runs as f64)),
-        ("seed", Json::Num(cfg.seed as f64)),
-        (
-            "graph_seed",
-            Json::Str(format!("{:#x}", graph_seed(cfg.seed))),
-        ),
-        (
-            "sched_seed0",
-            Json::Str(format!("{:#x}", sched_seed(cfg.seed, 0))),
-        ),
-        ("retries", Json::Num(cfg.retries as f64)),
-        (
-            "watchdog",
-            cfg.watchdog
-                .map(|w| Json::Num(w as f64))
-                .unwrap_or(Json::Null),
-        ),
-        ("fault_rate", Json::Num(cfg.fault_rate)),
-        ("fault_seed", Json::Num(cfg.fault_seed as f64)),
-    ])
+    worker_main(&spec, key);
 }
 
 /// Writes one repro bundle per failed cell and returns the bundle paths.
@@ -385,17 +206,9 @@ fn write_repro_bundles(
     let mut paths = Vec::new();
     for f in failures {
         let key = cell_key(set, f.input, f.algorithm, f.gpu);
-        let mut replay_args = cfg.worker_args();
-        replay_args.push("--gpu".into());
-        replay_args.push(f.gpu.into());
-        let bundle = ecl_bench::repro::Bundle {
-            key: &key,
-            error: f.error.to_string(),
-            run: f.run,
-            experiment: repro_experiment_json(cfg),
-            replay_args,
-        };
-        match ecl_bench::repro::write_bundle(&dir, &bundle) {
+        let written = Bundle::for_cell(&cfg.spec, &key, f.error.to_string(), f.run)
+            .and_then(|b| write_bundle(&dir, &b).map_err(|e| e.to_string()));
+        match written {
             Ok(path) => paths.push(path),
             Err(e) => {
                 eprintln!("warning: repro bundle skipped for '{key}': {e}");
@@ -413,9 +226,9 @@ fn write_repro_bundles(
 
 fn sweep_main(cfg: &Config) {
     install_interrupt_handler();
-    let matrix = cfg.matrix(None);
-    let set_names = cfg.sets.names();
-    let identity = ecl_bench::journal::identity_json(matrix.experiment(), &set_names);
+    let spec = &cfg.spec;
+    let matrix = spec.matrix(cfg.jobs, None);
+    let identity = spec.identity();
 
     // Checkpointing: a fresh journal, or append to the one being resumed.
     if cfg.journal.is_some() && cfg.resume.is_some() {
@@ -455,8 +268,8 @@ fn sweep_main(cfg: &Config) {
 
     let isolate_spec: Option<IsolateSpec> = cfg.isolate.then(|| IsolateSpec {
         exe: std::env::current_exe().expect("current_exe"),
-        base_args: cfg.worker_args(),
-        timeout: Duration::from_secs(cfg.cell_timeout),
+        base_args: spec.worker_args(),
+        timeout: Duration::from_secs(spec.cell_timeout),
         scratch: cfg.out_dir.join("tmp"),
     });
 
@@ -469,16 +282,16 @@ fn sweep_main(cfg: &Config) {
 
     eprintln!(
         "running the matrix: scale {}, {} run(s) per config, {} GPU(s), {} worker(s){}{}…",
-        cfg.scale,
-        cfg.runs,
-        cfg.gpus.len(),
+        spec.scale,
+        spec.runs,
+        spec.gpus.len(),
         cfg.jobs,
         if cfg.isolate { ", isolated cells" } else { "" },
         if writer.is_some() { ", journaled" } else { "" },
     );
 
     let run_one = |name: &str| -> (MeasuredTable, f64) {
-        if !set_names.contains(&name) || interrupted() {
+        if !spec.sets.iter().any(|s| s == name) || interrupted() {
             return (MeasuredTable::default(), 0.0);
         }
         let t = Instant::now();
@@ -503,7 +316,7 @@ fn sweep_main(cfg: &Config) {
     }
 
     // Tables IV-VII (undirected) and VIII (directed), per GPU.
-    for gpu in &cfg.gpus {
+    for gpu in &spec.gpus {
         if !undirected.cells.is_empty() {
             println!("{}", undirected.table(gpu));
         }
@@ -511,7 +324,7 @@ fn sweep_main(cfg: &Config) {
             println!("{}", directed.table(gpu));
         }
     }
-    let gpu_names: Vec<&str> = cfg.gpus.iter().map(|g| g.name).collect();
+    let gpu_names: Vec<&str> = spec.gpus.iter().map(|g| g.name).collect();
     println!("{}", format_table9(&undirected, &directed, &gpu_names));
     println!();
     println!("{}", format_fig6(&undirected, &directed, &gpu_names));

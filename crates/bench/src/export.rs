@@ -585,7 +585,7 @@ fn field_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string field '{key}'"))
 }
 
-fn parse_cell_key(j: &Json) -> Result<(&'static str, Algorithm, &'static str), String> {
+fn parse_cell_names(j: &Json) -> Result<(&'static str, Algorithm, &'static str), String> {
     let input = field_str(j, "input")?;
     let input = resolve_input_name(input).ok_or_else(|| format!("unknown input '{input}'"))?;
     let alg = field_str(j, "algorithm")?;
@@ -601,7 +601,7 @@ fn parse_cell_key(j: &Json) -> Result<(&'static str, Algorithm, &'static str), S
 /// catalogs' `&'static str`s; unknown names are an error (the journal came
 /// from a different build).
 pub fn parse_cell(j: &Json) -> Result<MeasuredCell, String> {
-    let (input, algorithm, gpu) = parse_cell_key(j)?;
+    let (input, algorithm, gpu) = parse_cell_names(j)?;
     let profile = |key: &str| -> Result<VariantProfile, String> {
         let p = j.get(key).ok_or_else(|| format!("missing '{key}'"))?;
         Ok(VariantProfile {
@@ -634,7 +634,7 @@ pub fn parse_cell(j: &Json) -> Result<MeasuredCell, String> {
 /// [`RunError::Remote`] — which displays as exactly that string, keeping
 /// re-serialization stable.
 pub fn parse_failure(j: &Json) -> Result<CellFailure, String> {
-    let (input, algorithm, gpu) = parse_cell_key(j)?;
+    let (input, algorithm, gpu) = parse_cell_names(j)?;
     Ok(CellFailure {
         input,
         algorithm,

@@ -8,9 +8,16 @@
 //! wall-clock deadline, and a dead or deadlocked worker becomes one typed
 //! [`RunError::Worker`] failure while the sweep continues.
 //!
-//! Protocol: the worker receives `--worker-cell <set>/<input>/<alg>/<gpu>`
-//! plus the parent's experiment flags, measures exactly that cell, and
-//! prints a single JSON document to stdout:
+//! This is the one subprocess executor. [`spawn`] starts a worker and
+//! [`RunningCell::poll`] reaps it without blocking, so the farm's fleet
+//! holds one running cell per slot; [`run_worker`] blocks on one cell for
+//! the sweep's job pool.
+//!
+//! Protocol: the worker receives the sweep's worker flags
+//! ([`crate::SweepSpec::worker_args`]) plus `--worker-cell
+//! <set>/<input>/<alg>/<gpu>`, measures exactly that cell
+//! ([`crate::sweep::measure_cell`]), and prints a single JSON document to
+//! stdout:
 //!
 //! ```text
 //! {"schema":"ecl-bench/WORKER_CELL/v1","ok":{…cell body…}}
@@ -26,8 +33,9 @@ use crate::export::Json;
 use ecl_core::suite::RunError;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
-use std::process::Command;
-use std::time::{Duration, Instant};
+use std::process::{Child, Command};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Byte budget for every stderr/stdout tail a dead worker leaves behind in
 /// a [`RunError::Worker`]. The tail travels into journal lines, repro
@@ -37,8 +45,8 @@ use std::time::{Duration, Instant};
 pub const STDERR_TAIL_BUDGET: usize = 2048;
 
 /// Truncates `text` to its last `limit` bytes on a UTF-8 boundary. The
-/// in-memory counterpart of [`tail_of`], for tails that arrive as strings
-/// (worker stdout echoes, farm supervisor captures).
+/// in-memory counterpart of `tail_of`, for tails that arrive as strings
+/// (worker stdout echoes).
 pub fn cap_tail(text: &str, limit: usize) -> String {
     let start = text.len().saturating_sub(limit);
     let start = (start..=text.len())
@@ -75,7 +83,7 @@ pub enum WorkerVerdict {
 /// Last `limit` bytes of a capture file, trimmed, for failure reports.
 /// Seeks instead of slurping: a worker that spammed gigabytes of stderr
 /// costs `limit` bytes of memory here, not its file size.
-pub fn tail_of(path: &std::path::Path, limit: usize) -> String {
+fn tail_of(path: &std::path::Path, limit: usize) -> String {
     let read_tail = || -> std::io::Result<Vec<u8>> {
         let mut f = std::fs::File::open(path)?;
         let len = f.seek(SeekFrom::End(0))?;
@@ -91,25 +99,55 @@ pub fn tail_of(path: &std::path::Path, limit: usize) -> String {
     String::from_utf8_lossy(&bytes).trim().to_string()
 }
 
-/// Runs one cell in a worker subprocess. `idx` names the scratch files, so
-/// concurrent cells never collide.
-///
-/// # Errors
-///
-/// [`RunError::Worker`] when the process dies (nonzero exit, signal, or
-/// deadline kill) or produces unparsable output.
-pub fn run_worker(spec: &IsolateSpec, key: &str, idx: usize) -> Result<WorkerVerdict, RunError> {
-    std::fs::create_dir_all(&spec.scratch).map_err(|e| RunError::Worker {
+/// A worker subprocess measuring one cell. [`RunningCell::poll`] reaps it;
+/// dropping it kills a worker still running.
+#[derive(Debug)]
+pub struct RunningCell {
+    child: Child,
+    deadline: Instant,
+    out_path: PathBuf,
+    err_path: PathBuf,
+}
+
+/// Names this process's capture files apart from those of every other
+/// parent, earlier incarnations of this one included: an orphaned worker of
+/// a parent killed mid-cell may still be writing to its files.
+fn incarnation() -> &'static str {
+    static ID: OnceLock<String> = OnceLock::new();
+    ID.get_or_init(|| {
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        format!("{}-{nanos:x}", std::process::id())
+    })
+}
+
+fn worker_error(stderr_tail: String) -> RunError {
+    RunError::Worker {
         exit: None,
         signal: None,
         timed_out: false,
-        stderr_tail: format!("cannot create scratch dir: {e}"),
-    })?;
-    let out_path = spec.scratch.join(format!("cell-{idx}.out"));
-    let err_path = spec.scratch.join(format!("cell-{idx}.err"));
-    let spawn = |p: &std::path::Path| std::fs::File::create(p);
-    let child = spawn(&out_path)
-        .and_then(|out| Ok((out, spawn(&err_path)?)))
+        stderr_tail,
+    }
+}
+
+/// Starts the worker for cell `key`. `seq` tells the capture files of this
+/// process's cells apart; a sequence number may be reused only once its
+/// cell has been reaped.
+///
+/// # Errors
+///
+/// [`RunError::Worker`] when the capture files or the process cannot be
+/// created.
+pub fn spawn(spec: &IsolateSpec, key: &str, seq: u64) -> Result<RunningCell, RunError> {
+    std::fs::create_dir_all(&spec.scratch)
+        .map_err(|e| worker_error(format!("cannot create scratch dir: {e}")))?;
+    let stem = format!("cell-{}-{seq}", incarnation());
+    let out_path = spec.scratch.join(format!("{stem}.out"));
+    let err_path = spec.scratch.join(format!("{stem}.err"));
+    let create = |p: &std::path::Path| std::fs::File::create(p);
+    let child = create(&out_path)
+        .and_then(|out| Ok((out, create(&err_path)?)))
         .and_then(|(out, err)| {
             Command::new(&spec.exe)
                 .args(&spec.base_args)
@@ -119,81 +157,105 @@ pub fn run_worker(spec: &IsolateSpec, key: &str, idx: usize) -> Result<WorkerVer
                 .stdout(out)
                 .stderr(err)
                 .spawn()
-        });
-    let mut child = match child {
-        Ok(c) => c,
-        Err(e) => {
-            return Err(RunError::Worker {
-                exit: None,
-                signal: None,
-                timed_out: false,
-                stderr_tail: format!("failed to spawn worker: {e}"),
-            })
-        }
-    };
+        })
+        .map_err(|e| worker_error(format!("failed to spawn worker: {e}")))?;
+    Ok(RunningCell {
+        child,
+        deadline: Instant::now() + spec.timeout,
+        out_path,
+        err_path,
+    })
+}
 
+impl RunningCell {
+    /// Checks on the worker without blocking: `None` while it runs within
+    /// its deadline, else what it reported or how it died. A worker past its
+    /// deadline is killed here. Call until it returns `Some`.
+    pub fn poll(&mut self) -> Option<Result<WorkerVerdict, RunError>> {
+        let waited = match self.child.try_wait() {
+            Ok(None) if Instant::now() < self.deadline => return None,
+            Ok(Some(status)) => Ok((status, false)),
+            Ok(None) => {
+                let _ = self.child.kill();
+                self.child.wait().map(|status| (status, true))
+            }
+            Err(e) => Err(e),
+        };
+        Some(match waited {
+            Ok((status, timed_out)) => self.verdict(status, timed_out),
+            Err(e) => Err(worker_error(format!("wait failed: {e}"))),
+        })
+    }
+
+    fn verdict(
+        &self,
+        status: std::process::ExitStatus,
+        timed_out: bool,
+    ) -> Result<WorkerVerdict, RunError> {
+        let dead = |stderr_tail: String| RunError::Worker {
+            exit: status.code(),
+            signal: unix_signal(&status),
+            timed_out,
+            stderr_tail,
+        };
+        if timed_out || !status.success() {
+            return Err(dead(tail_of(&self.err_path, STDERR_TAIL_BUDGET)));
+        }
+
+        let stdout = std::fs::read_to_string(&self.out_path).unwrap_or_default();
+        // The stdout echo in the error is capped too: a worker spamming
+        // garbage to stdout must not balloon the failure payload any more
+        // than a stderr-spammer can.
+        let doc = Json::parse(stdout.trim()).map_err(|e| {
+            dead(format!(
+                "unparsable worker output ({e}): {}",
+                cap_tail(stdout.trim(), STDERR_TAIL_BUDGET)
+            ))
+        })?;
+        if doc.get("schema").and_then(Json::as_str) != Some(WORKER_SCHEMA) {
+            return Err(dead(format!(
+                "worker spoke the wrong schema: {}",
+                stdout.trim()
+            )));
+        }
+        let _ = std::fs::remove_file(&self.out_path);
+        let _ = std::fs::remove_file(&self.err_path);
+        if let Some(body) = doc.get("ok") {
+            Ok(WorkerVerdict::Ok(body.clone()))
+        } else if let Some(body) = doc.get("failed") {
+            Ok(WorkerVerdict::Failed(body.clone()))
+        } else {
+            Err(dead("worker reported neither ok nor failed".to_string()))
+        }
+    }
+}
+
+impl Drop for RunningCell {
+    fn drop(&mut self) {
+        // A reaped child is not signalled again.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Runs one cell in a worker subprocess and waits for it. `idx` names the
+/// capture files, so concurrent cells never collide.
+///
+/// # Errors
+///
+/// [`RunError::Worker`] when the process dies (nonzero exit, signal, or
+/// deadline kill) or produces unparsable output.
+pub fn run_worker(spec: &IsolateSpec, key: &str, idx: usize) -> Result<WorkerVerdict, RunError> {
+    let mut cell = spawn(spec, key, idx as u64)?;
     // A cell's worker often exits within a few milliseconds: poll every
     // millisecond to reap it promptly, never sleeping past the deadline so
     // the kill lands on time.
-    let deadline = Instant::now() + spec.timeout;
-    let (status, timed_out) = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break (status, false),
-            Ok(None) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    let _ = child.kill();
-                    let status = child.wait().expect("wait on killed worker");
-                    break (status, true);
-                }
-                std::thread::sleep(Duration::from_millis(1).min(deadline - now));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                return Err(RunError::Worker {
-                    exit: None,
-                    signal: None,
-                    timed_out: false,
-                    stderr_tail: format!("wait failed: {e}"),
-                });
-            }
+    loop {
+        if let Some(result) = cell.poll() {
+            return result;
         }
-    };
-
-    let dead = |stderr_tail: String| RunError::Worker {
-        exit: status.code(),
-        signal: unix_signal(&status),
-        timed_out,
-        stderr_tail,
-    };
-    if timed_out || !status.success() {
-        return Err(dead(tail_of(&err_path, STDERR_TAIL_BUDGET)));
-    }
-
-    let stdout = std::fs::read_to_string(&out_path).unwrap_or_default();
-    // The stdout echo in the error is capped too: a worker spamming garbage
-    // to stdout must not balloon the failure payload any more than a
-    // stderr-spammer can.
-    let doc = Json::parse(stdout.trim()).map_err(|e| {
-        dead(format!(
-            "unparsable worker output ({e}): {}",
-            cap_tail(stdout.trim(), STDERR_TAIL_BUDGET)
-        ))
-    })?;
-    if doc.get("schema").and_then(Json::as_str) != Some(WORKER_SCHEMA) {
-        return Err(dead(format!(
-            "worker spoke the wrong schema: {}",
-            stdout.trim()
-        )));
-    }
-    let _ = std::fs::remove_file(&out_path);
-    let _ = std::fs::remove_file(&err_path);
-    if let Some(body) = doc.get("ok") {
-        Ok(WorkerVerdict::Ok(body.clone()))
-    } else if let Some(body) = doc.get("failed") {
-        Ok(WorkerVerdict::Failed(body.clone()))
-    } else {
-        Err(dead("worker reported neither ok nor failed".to_string()))
+        let left = cell.deadline.saturating_duration_since(Instant::now());
+        std::thread::sleep(Duration::from_millis(1).min(left));
     }
 }
 
@@ -282,6 +344,27 @@ mod tests {
             RunError::Worker { timed_out, .. } => assert!(timed_out),
             other => panic!("expected Worker, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn poll_does_not_block_and_a_dropped_cell_kills_its_worker() {
+        let s = spec("sleep 30", 60_000);
+        let started = Instant::now();
+        let mut cell = spawn(&s, "k", 20).unwrap();
+        assert!(cell.poll().is_none(), "the worker is still sleeping");
+        // Capture files carry the parent's id, so a later parent never
+        // reuses the files of this one's orphaned workers.
+        let stem = format!("cell-{}-", std::process::id());
+        assert!(std::fs::read_dir(&s.scratch).unwrap().any(|e| e
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .starts_with(&stem)));
+        drop(cell);
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "drop waited for the worker instead of killing it"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! println!("{}", undirected.table(&ecl_simt::GpuConfig::a100()));
 //! ```
 
+pub mod cli;
 pub mod export;
 pub mod interrupt;
 pub mod isolate;
@@ -26,6 +27,7 @@ mod matrix;
 pub mod repro;
 mod stats;
 pub mod storage;
+pub mod sweep;
 mod tables;
 
 /// The deterministic job pool the sweeps run their cells on.
@@ -48,4 +50,5 @@ pub use storage::{
     splitmix64, DurableFile, FaultPlan, MemFs, Storage, StorageBackend, StorageError,
     StorageErrorKind,
 };
+pub use sweep::{measure_cell, parse_cell_key, SweepSpec};
 pub use tables::{format_fig6, format_speedup_table, format_table9, to_csv};

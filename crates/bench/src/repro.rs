@@ -4,7 +4,8 @@
 //! the exact experiment seeds, and a ready-to-run `--replay` command line —
 //! everything needed to re-execute precisely the failing configuration
 //! without the rest of the sweep. Both the `all_tests` sweep and the farm
-//! daemon write them through this module.
+//! daemon build them with [`Bundle::for_cell`] and write them through this
+//! module, so a replay measures what the failing run measured.
 //!
 //! File naming: the first failure of a cell gets `<slug>.json`. A cell that
 //! fails *again* — on a resumed run, a retried run, or a later attempt of a
@@ -14,7 +15,9 @@
 //! so every bundle is kept.
 
 use crate::export::Json;
+use crate::matrix::{graph_seed, sched_seed};
 use crate::storage::{Storage, StorageError};
+use crate::sweep::{parse_cell_key, SweepSpec};
 use std::path::{Path, PathBuf};
 
 /// Schema tag of a repro bundle.
@@ -67,6 +70,56 @@ pub struct Bundle<'a> {
     pub experiment: Json,
     /// Worker argv that reproduces the failing configuration.
     pub replay_args: Vec<String>,
+}
+
+impl<'a> Bundle<'a> {
+    /// The bundle for the failed cell `key` of the sweep `spec`. Its replay
+    /// flags are the spec's worker flags plus the cell's GPU and set, so
+    /// they parse back to `spec` restricted to that cell.
+    ///
+    /// # Errors
+    ///
+    /// A key that names no cell (see [`parse_cell_key`]).
+    pub fn for_cell(
+        spec: &SweepSpec,
+        key: &'a str,
+        error: String,
+        run: usize,
+    ) -> Result<Bundle<'a>, String> {
+        let (set, _, _, gpu) = parse_cell_key(key)?;
+        let mut replay_args = spec.worker_args();
+        replay_args.extend(["--gpu".into(), gpu.name.into(), "--sets".into(), set.into()]);
+        let experiment = Json::obj(vec![
+            ("scale", Json::Num(spec.scale)),
+            ("runs", Json::Num(spec.runs as f64)),
+            ("seed", Json::Num(spec.seed as f64)),
+            (
+                "graph_seed",
+                Json::Str(format!("{:#x}", graph_seed(spec.seed))),
+            ),
+            (
+                "sched_seed0",
+                Json::Str(format!("{:#x}", sched_seed(spec.seed, 0))),
+            ),
+            ("retries", Json::Num(spec.retries as f64)),
+            (
+                "watchdog",
+                spec.watchdog.map_or(Json::Null, |w| Json::Num(w as f64)),
+            ),
+            ("fault_rate", Json::Num(spec.fault.map_or(0.0, |f| f.0))),
+            (
+                "fault_seed",
+                Json::Num(spec.fault.map_or(42, |f| f.2) as f64),
+            ),
+        ]);
+        Ok(Bundle {
+            key,
+            error,
+            run,
+            experiment,
+            replay_args,
+        })
+    }
 }
 
 /// Writes one bundle into `dir` (created if needed) at a collision-free

@@ -20,10 +20,10 @@
 //! resolved) and persists the *normalized* form, so a job reloaded after a
 //! daemon crash reconstructs the identical experiment.
 
-use ecl_bench::{Experiment, Json};
-use ecl_core::suite::RetryPolicy;
-use ecl_core::SimOptions;
-use ecl_simt::{FaultPlan, GpuConfig, MemLevel};
+use ecl_bench::sweep::{level_name, parse_level};
+use ecl_bench::Json;
+pub use ecl_bench::SweepSpec;
+use ecl_simt::GpuConfig;
 
 /// Schema tag of a job submission line.
 pub const JOB_SCHEMA: &str = "ecl-farm/JOB/v1";
@@ -44,75 +44,6 @@ pub struct JobSpec {
     pub priority: i64,
     /// What to sweep.
     pub sweep: SweepSpec,
-}
-
-/// The sweep a job asks for — the same knobs as the `all_tests` CLI.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Input scale multiplier.
-    pub scale: f64,
-    /// Runs per configuration.
-    pub runs: usize,
-    /// Base experiment seed.
-    pub seed: u64,
-    /// GPUs to measure, resolved to catalog configurations.
-    pub gpus: Vec<GpuConfig>,
-    /// Cell sets to run, each `"undirected"` or `"directed"`.
-    pub sets: Vec<String>,
-    /// Attempts per measurement.
-    pub retries: u32,
-    /// Per-launch watchdog budget in cycles.
-    pub watchdog: Option<u64>,
-    /// Fault injection: (bitflip rate, level, plan seed).
-    pub fault: Option<(f64, MemLevel, u64)>,
-    /// Wall-clock budget per cell in seconds; a worker that blows it is
-    /// killed and the attempt counts toward quarantine.
-    pub cell_timeout: u64,
-}
-
-impl SweepSpec {
-    /// The [`Experiment`] this spec describes. `jobs` is pinned to 1: the
-    /// report must not depend on how many fleet workers happened to execute
-    /// it, only on what was measured.
-    pub fn experiment(&self) -> Experiment {
-        Experiment {
-            scale: self.scale,
-            runs: self.runs,
-            gpus: self.gpus.clone(),
-            seed: self.seed,
-            jobs: 1,
-            opts: SimOptions {
-                watchdog: self.watchdog,
-                fault: self
-                    .fault
-                    .map(|(rate, level, seed)| FaultPlan::new(seed).with_bitflips(rate, level)),
-                deadline: None,
-                mode_table: None,
-            },
-            retry: RetryPolicy {
-                max_attempts: self.retries.max(1),
-                seed_stride: 1,
-            },
-        }
-    }
-
-    /// The journal identity of this spec — byte-compatible with the
-    /// identity `all_tests` journals pin, so the same determinism contract
-    /// applies.
-    pub fn identity(&self) -> Json {
-        let sets: Vec<&str> = self.sets.iter().map(String::as_str).collect();
-        ecl_bench::journal::identity_json(&self.experiment(), &sets)
-    }
-
-    /// Every cell key of this sweep, all sets concatenated, each set in its
-    /// canonical order.
-    pub fn cell_keys(&self) -> Vec<String> {
-        let e = self.experiment();
-        self.sets
-            .iter()
-            .flat_map(|s| ecl_bench::set_cell_keys(&e, s))
-            .collect()
-    }
 }
 
 fn valid_id(id: &str) -> bool {
@@ -189,28 +120,31 @@ pub fn parse_job(line: &str) -> Result<JobSpec, String> {
         Some(f) => {
             let rate = f.get("rate").and_then(Json::as_num).unwrap_or(0.0);
             let level = match f.get("level").and_then(Json::as_str) {
-                None | Some("dram") => MemLevel::Dram,
-                Some("l2") => MemLevel::L2,
-                Some("l1") => MemLevel::L1,
-                Some(other) => return Err(format!("unknown fault level '{other}'")),
+                None => ecl_simt::MemLevel::Dram,
+                Some(name) => {
+                    parse_level(name).ok_or_else(|| format!("unknown fault level '{name}'"))?
+                }
             };
             let seed = f.get("seed").and_then(Json::as_num).unwrap_or(42.0) as u64;
             (rate > 0.0).then_some((rate, level, seed))
         }
     };
+    let d = SweepSpec::default();
     Ok(JobSpec {
         id,
         priority,
         sweep: SweepSpec {
-            scale: num("scale").unwrap_or(1.0),
-            runs: (num("runs").unwrap_or(3.0) as usize).max(1),
-            seed: num("seed").unwrap_or(1.0) as u64,
+            scale: num("scale").unwrap_or(d.scale),
+            runs: num("runs").map_or(d.runs, |n| n as usize).max(1),
+            seed: num("seed").map_or(d.seed, |n| n as u64),
             gpus,
             sets,
-            retries: (num("retries").unwrap_or(1.0) as u32).max(1),
+            retries: num("retries").map_or(d.retries, |n| n as u32).max(1),
             watchdog: num("watchdog").map(|w| w as u64),
             fault,
-            cell_timeout: (num("cell_timeout").unwrap_or(300.0) as u64).max(1),
+            cell_timeout: num("cell_timeout")
+                .map_or(d.cell_timeout, |n| n as u64)
+                .max(1),
         },
     })
 }
@@ -224,17 +158,7 @@ pub fn job_json(job: &JobSpec) -> Json {
         None => Json::Null,
         Some((rate, level, seed)) => Json::obj(vec![
             ("rate", Json::Num(rate)),
-            (
-                "level",
-                Json::Str(
-                    match level {
-                        MemLevel::Dram => "dram",
-                        MemLevel::L2 => "l2",
-                        MemLevel::L1 => "l1",
-                    }
-                    .into(),
-                ),
-            ),
+            ("level", Json::Str(level_name(level).into())),
             ("seed", Json::Num(seed as f64)),
         ]),
     };
@@ -368,6 +292,26 @@ mod tests {
         assert_eq!(keys.len(), 10, "10 directed inputs x 1 alg x 1 gpu");
         assert!(keys[0].starts_with("directed/cage14/SCC/"));
         assert!(keys.iter().all(|k| k.ends_with("/TestTiny")));
+    }
+
+    #[test]
+    fn quarantine_bundle_replays_the_jobs_experiment() {
+        // The bundle of a quarantined cell must re-run the job's own
+        // experiment: its replay flags parse back to the job's spec, the
+        // watchdog and the fault plan included.
+        let j = parse_job(
+            r#"{"schema":"ecl-farm/JOB/v1","id":"w",
+                "spec":{"scale":0.05,"runs":1,"seed":3,"gpus":["TestTiny"],
+                        "sets":["directed"],"watchdog":5000000,"cell_timeout":60,
+                        "fault":{"rate":0.01,"level":"l2","seed":7}}}"#,
+        )
+        .unwrap();
+        let key = &j.sweep.cell_keys()[0];
+        let bundle =
+            ecl_bench::repro::Bundle::for_cell(&j.sweep, key, "worker process died".into(), 0)
+                .unwrap();
+        assert_eq!(bundle.key, key);
+        assert_eq!(SweepSpec::from_argv(&bundle.replay_args), Ok(j.sweep));
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //!                      in a "listening" event line)
 //! --once               exit when stdin is closed and every job is done
 //!                      (exit 1 if any job recorded failures)
-//! --heartbeat-ms <n>   worker heartbeat interval      (default 250)
-//! --deadline-ms <n>    busy-worker silence tolerance  (default 10000)
 //! --max-attempts <n>   worker deaths per cell before quarantine (default 3)
-//! --backoff-ms <n>     first respawn backoff          (default 100)
-//! --backoff-cap-ms <n> respawn backoff ceiling        (default 2000)
+//! --backoff-ms <n>     first restart backoff          (default 100)
+//! --backoff-cap-ms <n> restart backoff ceiling        (default 2000)
 //! --jitter-seed <n>    restart-jitter seed (deterministic; default fixed)
 //! --queue-cap <n>      max queued cells (backpressure) (default 4096)
-//! --worker-loop        internal: run as a fleet worker
 //! ```
+//!
+//! An argument the daemon cannot honour (an unknown flag, a missing or
+//! unparsable value) exits 2 with one line on stderr, before the state
+//! directory is touched. Internally, the daemon runs each cell in
+//! `farm --worker-cell <key>` with the job's worker flags.
 //!
 //! Jobs are `ecl-farm/JOB/v1` JSONL lines on stdin or the TCP socket; each
 //! gets one `ecl-farm/ACK/v1` reply on the same channel. Progress events
@@ -33,6 +35,7 @@
 //! final note line to every in-flight journal. Nothing is lost either way;
 //! the journals carry the progress.
 
+use ecl_bench::cli::{usage_exit, Args};
 use ecl_bench::Json;
 use ecl_farm::{api, recovery, ActiveJob, CellQueue, Fleet, FleetConfig, FleetOutcome, JobStore};
 use std::collections::HashMap;
@@ -48,8 +51,6 @@ struct Options {
     workers: usize,
     listen: Option<String>,
     once: bool,
-    heartbeat_ms: u64,
-    deadline_ms: u64,
     max_attempts: u32,
     backoff_ms: u64,
     backoff_cap_ms: u64,
@@ -57,29 +58,31 @@ struct Options {
     queue_cap: usize,
 }
 
-fn parse_options(args: &[String]) -> Options {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let num = |flag: &str, default: u64| -> u64 {
-        get(flag).and_then(|s| s.parse().ok()).unwrap_or(default)
-    };
-    Options {
-        state: PathBuf::from(get("--state").unwrap_or_else(|| "farm-state".into())),
-        workers: num("--workers", 2) as usize,
-        listen: get("--listen"),
-        once: args.iter().any(|a| a == "--once"),
-        heartbeat_ms: num("--heartbeat-ms", 250),
-        deadline_ms: num("--deadline-ms", 10_000),
-        max_attempts: num("--max-attempts", 3) as u32,
-        backoff_ms: num("--backoff-ms", 100),
-        backoff_cap_ms: num("--backoff-cap-ms", 2_000),
-        jitter_seed: num("--jitter-seed", 0xec1f_a3a7),
-        queue_cap: num("--queue-cap", 4_096) as usize,
-    }
+/// The daemon's value flags.
+const VALUE_FLAGS: [&str; 8] = [
+    "--state",
+    "--workers",
+    "--listen",
+    "--max-attempts",
+    "--backoff-ms",
+    "--backoff-cap-ms",
+    "--jitter-seed",
+    "--queue-cap",
+];
+
+fn parse_options(argv: &[String]) -> Result<Options, String> {
+    let args = Args::parse(argv, &VALUE_FLAGS, &["--once"])?;
+    Ok(Options {
+        state: PathBuf::from(args.value("--state").unwrap_or("farm-state")),
+        workers: args.parsed("--workers")?.unwrap_or(2),
+        listen: args.value("--listen").map(str::to_string),
+        once: args.has("--once"),
+        max_attempts: args.parsed("--max-attempts")?.unwrap_or(3),
+        backoff_ms: args.parsed("--backoff-ms")?.unwrap_or(100),
+        backoff_cap_ms: args.parsed("--backoff-cap-ms")?.unwrap_or(2_000),
+        jitter_seed: args.parsed("--jitter-seed")?.unwrap_or(0xec1f_a3a7),
+        queue_cap: args.parsed("--queue-cap")?.unwrap_or(4_096),
+    })
 }
 
 enum ReplyTo {
@@ -107,17 +110,14 @@ fn reply(to: &ReplyTo, ack: &Json) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--worker-loop") {
-        let hb = args
-            .iter()
-            .position(|a| a == "--heartbeat-ms")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(250);
-        ecl_farm::worker::run_loop(hb);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--worker-cell") {
+        if let Err(e) = ecl_farm::worker::run_cell(&argv) {
+            usage_exit("farm", &e);
+        }
+        return;
     }
-    let opts = parse_options(&args);
+    let opts = parse_options(&argv).unwrap_or_else(|e| usage_exit("farm", &e));
     std::process::exit(daemon_main(&opts));
 }
 
@@ -156,8 +156,6 @@ fn daemon_main(opts: &Options) -> i32 {
     let mut fleet = Fleet::new(FleetConfig {
         workers: opts.workers,
         exe,
-        heartbeat_ms: opts.heartbeat_ms,
-        deadline_ms: opts.deadline_ms,
         max_attempts: opts.max_attempts,
         backoff_base_ms: opts.backoff_ms,
         backoff_cap_ms: opts.backoff_cap_ms,
@@ -196,7 +194,7 @@ fn daemon_main(opts: &Options) -> i32 {
                     .collect();
                 keys.sort_by_key(|k| job.keys.iter().position(|x| x == k));
                 queue.push_job_forced(&id, job.spec.priority, &keys);
-                fleet.register_job(job.spec.clone(), job.doc.clone());
+                fleet.register_job(&job.spec);
                 active.insert(id, job);
             }
             Err(e) => {
@@ -429,7 +427,7 @@ fn handle_submission(
                 .push_job(&id, job.priority, &keys)
                 .expect("would_fit was checked");
             journals.lock().unwrap().push(active_job.journal_writer());
-            fleet.register_job(job.clone(), active_job.doc.clone());
+            fleet.register_job(&job);
             active.insert(id.clone(), *active_job);
             reply(&sub.reply, &api::ack(&id, true, None, keys.len()));
             emit(&api::event(
@@ -487,28 +485,12 @@ fn apply_outcome(
                 .and_then(Json::as_str)
                 .unwrap_or("worker process died")
                 .to_string();
-            let bundle = ecl_bench::repro::Bundle {
-                key: &key,
-                error: error.clone(),
-                run: 0,
-                experiment: aj.doc.get("spec").cloned().unwrap_or(Json::Null),
-                replay_args: vec![
-                    "--scale".into(),
-                    aj.spec.sweep.scale.to_string(),
-                    "--runs".into(),
-                    aj.spec.sweep.runs.to_string(),
-                    "--seed".into(),
-                    aj.spec.sweep.seed.to_string(),
-                    "--retries".into(),
-                    aj.spec.sweep.retries.to_string(),
-                    "--cell-timeout".into(),
-                    aj.spec.sweep.cell_timeout.to_string(),
-                    "--worker-cell".into(),
-                    key.clone(),
-                ],
-            };
             let bundle_path =
-                ecl_bench::repro::write_bundle(&recovery::repro_dir(&opts.state), &bundle)
+                ecl_bench::repro::Bundle::for_cell(&aj.spec.sweep, &key, error.clone(), 0)
+                    .and_then(|b| {
+                        ecl_bench::repro::write_bundle(&recovery::repro_dir(&opts.state), &b)
+                            .map_err(|e| e.to_string())
+                    })
                     .map(|p| p.display().to_string())
                     .unwrap_or_else(|e| format!("(bundle write failed: {e})"));
             if let Err(e) = aj.record_cell(&key, false, body) {

@@ -7,7 +7,7 @@
 //! <state>/journals/job-<id>.jsonl   per-job cell journal (ecl-bench/JOURNAL/v1)
 //! <state>/reports/REPORT-<id>.json  finished reports     (BENCH_RESULTS/v1)
 //! <state>/repro/                repro bundles for quarantined cells
-//! <state>/tmp/                  worker stderr capture
+//! <state>/tmp/                  worker stdout/stderr capture
 //! ```
 //!
 //! The write protocol makes `kill -9` at any instant recoverable:
@@ -263,7 +263,7 @@ pub fn report_path(state: &Path, id: &str) -> PathBuf {
 pub fn repro_dir(state: &Path) -> PathBuf {
     state.join("repro")
 }
-/// Worker scratch (stderr capture).
+/// Worker scratch (stdout and stderr capture).
 pub fn tmp_dir(state: &Path) -> PathBuf {
     state.join("tmp")
 }
@@ -272,8 +272,6 @@ pub fn tmp_dir(state: &Path) -> PathBuf {
 pub struct ActiveJob {
     /// The job.
     pub spec: JobSpec,
-    /// Normalized `JOB/v1` document (sent to workers verbatim).
-    pub doc: Json,
     /// All cell keys, canonical order.
     pub keys: Vec<String>,
     /// key → (ok, body) for every journaled cell.
@@ -344,10 +342,8 @@ impl ActiveJob {
             .filter(|k| !records.contains_key(*k))
             .cloned()
             .collect();
-        let doc = api::job_json(&spec);
         Ok(ActiveJob {
             spec,
-            doc,
             keys,
             records,
             remaining,

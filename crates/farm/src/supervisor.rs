@@ -1,38 +1,34 @@
-//! The worker fleet supervisor: spawn, watch, restart, quarantine.
+//! The worker fleet supervisor: run, reap, back off, quarantine.
 //!
-//! The supervisor owns a fixed number of worker *slots*. Each slot cycles
-//! through dead → idle → busy; a dead slot respawns after an exponential
-//! backoff (reset by the first successful result). Liveness is judged two
-//! ways, both on the supervisor's clock:
+//! The supervisor owns a fixed number of worker *slots*. A slot runs one
+//! cell at a time in its own worker subprocess (`farm --worker-cell`),
+//! spawned and reaped through `ecl_bench::isolate`, the executor
+//! `all_tests --isolate` uses. Each slot cycles idle → busy → idle; after
+//! a worker death it waits out an exponential backoff (reset by the next
+//! delivered result) before it takes another cell.
 //!
-//! * **heartbeat deadline** — a busy worker that has not written anything
-//!   (heartbeat or result) for `deadline_ms` is presumed wedged and killed;
-//! * **cell deadline** — a busy worker still holding a cell past the job's
-//!   `cell_timeout` is killed even if it heartbeats on time (alive but
-//!   stuck in a runaway launch).
+//! Liveness is the cell deadline: a worker still running past its job's
+//! `cell_timeout` is killed. The worker also arms the simulator deadline at
+//! 0.9× that budget, so a runaway launch usually ends as a typed failure
+//! before the kill.
 //!
-//! Either kill, and any uncommanded death (abort, OOM, SIGKILL), counts as
-//! one failed *attempt* for the cell the worker held. The cell is requeued
-//! at the front of its priority class until it has consumed `max_attempts`
-//! attempts; then it is **quarantined**: converted into one typed failure
-//! record (`worker process died …`, same shape [`ecl_bench::parse_failure`]
-//! reads) and a repro bundle, and the rest of the sweep proceeds. Attempt
-//! counts key on (job, cell), not on the worker — a poison cell chews
-//! through respawned workers but only ever burns its own budget.
-//!
-//! Every worker incarnation is generation-stamped. Reader threads tag the
-//! lines they forward with (slot, generation), so output straggling in
-//! from a killed incarnation cannot be credited to its replacement.
+//! A death — abort, OOM, SIGKILL, deadline kill, or output that is not a
+//! `WORKER_CELL/v1` document — counts as one failed *attempt* for the cell
+//! the worker held. The cell is requeued at the front of its priority class
+//! until it has consumed `max_attempts` attempts; then it is
+//! **quarantined**: converted into one typed failure record
+//! (`worker process died …`, the body [`ecl_bench::failure_json`] writes)
+//! and a repro bundle, and the rest of the sweep proceeds. Attempt counts
+//! key on (job, cell), not on the slot — a poison cell kills one worker per
+//! attempt but only ever burns its own budget.
 
 use crate::api::JobSpec;
 use crate::queue::{CellQueue, CellTask};
-use ecl_bench::isolate::tail_of;
-use ecl_bench::{Json, STDERR_TAIL_BUDGET};
+use ecl_bench::isolate::{self, IsolateSpec, RunningCell, WorkerVerdict};
+use ecl_bench::{failure_json, parse_cell_key, CellFailure, Json};
+use ecl_core::suite::RunError;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Fleet tuning knobs.
@@ -40,22 +36,18 @@ use std::time::{Duration, Instant};
 pub struct FleetConfig {
     /// Worker slots (concurrent cells).
     pub workers: usize,
-    /// The binary to spawn with `--worker-loop` (normally
+    /// The binary to spawn with `--worker-cell` (normally
     /// `std::env::current_exe()`).
     pub exe: PathBuf,
-    /// Interval workers are told to heartbeat at.
-    pub heartbeat_ms: u64,
-    /// Silence longer than this on a busy worker = presumed dead.
-    pub deadline_ms: u64,
     /// Worker deaths a single cell may cause before quarantine.
     pub max_attempts: u32,
-    /// First respawn backoff; doubles per consecutive death of a slot.
+    /// First restart backoff; doubles per consecutive death of a slot.
     pub backoff_base_ms: u64,
     /// Backoff ceiling (before jitter; see [`restart_backoff_ms`]).
     pub backoff_cap_ms: u64,
     /// Seed for the deterministic per-slot restart jitter.
     pub jitter_seed: u64,
-    /// Directory for worker stderr capture files.
+    /// Directory for the workers' stdout and stderr capture files.
     pub scratch: PathBuf,
 }
 
@@ -107,36 +99,16 @@ pub enum FleetOutcome {
 }
 
 enum SlotState {
-    Dead {
-        respawn_at: Instant,
-    },
+    /// Waiting out a restart backoff after its worker died.
+    Backoff(Instant),
     Idle,
-    Busy {
-        task: CellTask,
-        cell_deadline: Instant,
-        last_seen: Instant,
-    },
+    Busy(CellTask, RunningCell),
 }
 
 struct Slot {
     state: SlotState,
-    gen: u64,
-    child: Option<Child>,
-    stdin: Option<ChildStdin>,
-    err_path: PathBuf,
     /// Consecutive deaths (for backoff); reset by a delivered result.
     deaths: u32,
-}
-
-enum EventKind {
-    Line(String),
-    Eof,
-}
-
-struct WorkerEvent {
-    slot: usize,
-    gen: u64,
-    kind: EventKind,
 }
 
 /// The supervised fleet. Drive it by calling [`Fleet::tick`] frequently
@@ -145,44 +117,41 @@ struct WorkerEvent {
 pub struct Fleet {
     cfg: FleetConfig,
     slots: Vec<Slot>,
-    events_rx: Receiver<WorkerEvent>,
-    events_tx: Sender<WorkerEvent>,
     /// (job, key) → worker deaths charged to that cell.
     attempts: HashMap<(String, String), u32>,
-    /// Known jobs: the normalized JOB/v1 document (sent verbatim to
-    /// workers) and the parsed spec (for per-job cell timeouts).
-    jobs: HashMap<String, (Json, JobSpec)>,
+    /// Known jobs: how to run each job's cells.
+    jobs: HashMap<String, IsolateSpec>,
+    /// Workers spawned so far; numbers their capture files.
+    spawned: u64,
 }
 
 impl Fleet {
-    /// A fleet with every slot dead and due for immediate spawn.
+    /// A fleet with every slot idle.
     pub fn new(cfg: FleetConfig) -> Fleet {
-        let (events_tx, events_rx) = std::sync::mpsc::channel();
-        let now = Instant::now();
         let slots = (0..cfg.workers.max(1))
             .map(|_| Slot {
-                state: SlotState::Dead { respawn_at: now },
-                gen: 0,
-                child: None,
-                stdin: None,
-                err_path: PathBuf::new(),
+                state: SlotState::Idle,
                 deaths: 0,
             })
             .collect();
         Fleet {
             cfg,
             slots,
-            events_rx,
-            events_tx,
             attempts: HashMap::new(),
             jobs: HashMap::new(),
+            spawned: 0,
         }
     }
 
-    /// Registers a job so its cells can be assigned. `doc` must be the
-    /// normalized `JOB/v1` document (what [`crate::api::job_json`] renders).
-    pub fn register_job(&mut self, spec: JobSpec, doc: Json) {
-        self.jobs.insert(spec.id.clone(), (doc, spec));
+    /// Registers a job so its cells can be assigned.
+    pub fn register_job(&mut self, job: &JobSpec) {
+        let spec = IsolateSpec {
+            exe: self.cfg.exe.clone(),
+            base_args: job.sweep.worker_args(),
+            timeout: Duration::from_secs(job.sweep.cell_timeout),
+            scratch: self.cfg.scratch.clone(),
+        };
+        self.jobs.insert(job.id.clone(), spec);
     }
 
     /// Forgets a finished job and its attempt counters.
@@ -195,120 +164,32 @@ impl Fleet {
     pub fn busy(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| matches!(s.state, SlotState::Busy { .. }))
+            .filter(|s| matches!(s.state, SlotState::Busy(..)))
             .count()
     }
 
-    fn spawn_slot(&mut self, idx: usize) {
+    /// Starts slot `idx`'s backoff after a death (or a failed spawn).
+    fn back_off(&mut self, idx: usize, now: Instant) {
         let slot = &mut self.slots[idx];
-        slot.gen += 1;
-        let gen = slot.gen;
-        slot.err_path = self.cfg.scratch.join(format!("worker-{idx}-{gen}.err"));
-        let _ = std::fs::create_dir_all(&self.cfg.scratch);
-        let spawned = Command::new(&self.cfg.exe)
-            .arg("--worker-loop")
-            .arg("--heartbeat-ms")
-            .arg(self.cfg.heartbeat_ms.to_string())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(
-                std::fs::File::create(&slot.err_path)
-                    .map(Stdio::from)
-                    .unwrap_or(Stdio::null()),
-            )
-            .spawn();
-        match spawned {
-            Ok(mut child) => {
-                slot.stdin = child.stdin.take();
-                let stdout = child.stdout.take();
-                slot.child = Some(child);
-                slot.state = SlotState::Idle;
-                if let Some(out) = stdout {
-                    let tx = self.events_tx.clone();
-                    std::thread::spawn(move || {
-                        let reader = std::io::BufReader::new(out);
-                        for line in reader.lines() {
-                            match line {
-                                Ok(l) => {
-                                    if tx
-                                        .send(WorkerEvent {
-                                            slot: idx,
-                                            gen,
-                                            kind: EventKind::Line(l),
-                                        })
-                                        .is_err()
-                                    {
-                                        return;
-                                    }
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        let _ = tx.send(WorkerEvent {
-                            slot: idx,
-                            gen,
-                            kind: EventKind::Eof,
-                        });
-                    });
-                }
-            }
-            Err(e) => {
-                eprintln!("farm: cannot spawn worker slot {idx}: {e}");
-                slot.state = SlotState::Dead {
-                    // Cap-level backoff, jittered like any other restart so
-                    // a fleet-wide spawn failure doesn't retry in lockstep.
-                    respawn_at: Instant::now()
-                        + Duration::from_millis(restart_backoff_ms(
-                            self.cfg.backoff_cap_ms,
-                            self.cfg.backoff_cap_ms,
-                            0,
-                            self.cfg.jitter_seed,
-                            idx as u64,
-                        )),
-                };
-            }
-        }
-    }
-
-    fn backoff(&self, deaths: u32, slot: usize) -> Duration {
-        Duration::from_millis(restart_backoff_ms(
+        slot.deaths = slot.deaths.saturating_add(1);
+        let ms = restart_backoff_ms(
             self.cfg.backoff_base_ms,
             self.cfg.backoff_cap_ms,
-            deaths,
+            slot.deaths - 1,
             self.cfg.jitter_seed,
-            slot as u64,
-        ))
+            idx as u64,
+        );
+        slot.state = SlotState::Backoff(now + Duration::from_millis(ms));
     }
 
-    /// Kills slot `idx`'s worker (if any) and charges the death to the cell
-    /// it held, requeueing or quarantining. Returns the quarantine outcome
-    /// if one was produced.
-    fn reap_slot(
+    /// Charges a worker death to the cell it held: requeues the cell, or
+    /// quarantines it once its attempts are spent.
+    fn charge(
         &mut self,
-        idx: usize,
+        task: CellTask,
+        error: RunError,
         queue: &mut CellQueue,
-        exit: Option<i32>,
-        signal: Option<i32>,
-        timed_out: bool,
     ) -> Option<FleetOutcome> {
-        let stderr_tail = tail_of(&self.slots[idx].err_path, STDERR_TAIL_BUDGET);
-        let slot = &mut self.slots[idx];
-        slot.stdin = None; // closing stdin asks a live worker to exit
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        slot.deaths = slot.deaths.saturating_add(1);
-        let backoff = self.backoff(self.slots[idx].deaths - 1, idx);
-        let prev = std::mem::replace(
-            &mut self.slots[idx].state,
-            SlotState::Dead {
-                respawn_at: Instant::now() + backoff,
-            },
-        );
-        let SlotState::Busy { task, .. } = prev else {
-            return None;
-        };
         let counter = self
             .attempts
             .entry((task.job.clone(), task.key.clone()))
@@ -319,28 +200,15 @@ impl Fleet {
             queue.requeue(task);
             return None;
         }
-        // Quarantine: one typed CellFailure record; shaped exactly like
-        // `failure_json` so `parse_failure`/`table_from_records` accept it.
-        let mut parts = task.key.splitn(4, '/');
-        let (_set, input, alg, gpu) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or("?"),
-            parts.next().unwrap_or("?"),
-            parts.next().unwrap_or("?"),
-        );
-        let error = ecl_core::suite::RunError::Worker {
-            exit,
-            signal,
-            timed_out,
-            stderr_tail,
-        };
-        let body = Json::obj(vec![
-            ("input", Json::Str(input.into())),
-            ("algorithm", Json::Str(alg.into())),
-            ("gpu", Json::Str(gpu.into())),
-            ("run", Json::Num(0.0)),
-            ("error", Json::Str(error.to_string())),
-        ]);
+        let (_, input, algorithm, gpu) =
+            parse_cell_key(&task.key).expect("queued keys come from SweepSpec::cell_keys");
+        let body = failure_json(&CellFailure {
+            input: input.name(),
+            algorithm,
+            gpu: gpu.name,
+            run: 0,
+            error,
+        });
         Some(FleetOutcome::Quarantined {
             job: task.job,
             key: task.key,
@@ -349,171 +217,68 @@ impl Fleet {
         })
     }
 
-    /// One supervision step: respawn due slots, drain worker output, detect
-    /// deaths and deadline blows, and (when `assign` is true) hand queued
-    /// cells to idle workers. Returns the outcomes observed this tick.
+    /// One supervision step: end due backoffs, reap finished or overdue
+    /// workers, and (when `assign` is true) start queued cells on idle
+    /// slots. Returns the outcomes observed this tick.
     pub fn tick(&mut self, queue: &mut CellQueue, assign: bool) -> Vec<FleetOutcome> {
         let mut out = Vec::new();
         let now = Instant::now();
 
-        // Respawn slots whose backoff elapsed — only while there is (or
-        // could be) work; an idle farm keeps its fleet warm anyway.
         for idx in 0..self.slots.len() {
-            if let SlotState::Dead { respawn_at } = self.slots[idx].state {
-                if now >= respawn_at {
-                    self.spawn_slot(idx);
-                }
-            }
-        }
-
-        // Drain everything the reader threads forwarded.
-        while let Ok(ev) = self.events_rx.try_recv() {
-            let slot = &mut self.slots[ev.slot];
-            if ev.gen != slot.gen {
-                continue; // straggler from a killed incarnation
-            }
-            match ev.kind {
-                EventKind::Eof => {
-                    // Reader saw stdout close; the wait/try_wait pass below
-                    // will reap it. Nothing to credit.
-                }
-                EventKind::Line(line) => {
-                    let doc = match Json::parse(&line) {
-                        Ok(d) => d,
-                        Err(_) => continue, // stray print; ignore
-                    };
-                    match doc.get("type").and_then(Json::as_str) {
-                        Some("heartbeat") => {
-                            if let SlotState::Busy { last_seen, .. } = &mut slot.state {
-                                *last_seen = Instant::now();
-                            }
-                        }
-                        Some("result") => {
-                            let key = doc.get("key").and_then(Json::as_str).unwrap_or("");
-                            let held = matches!(&slot.state,
-                                SlotState::Busy { task, .. } if task.key == key);
-                            if !held {
-                                continue; // result for a cell we no longer track
-                            }
-                            let verdict = doc.get("doc");
-                            let (ok, body) = match verdict {
-                                Some(v) => {
-                                    if let Some(b) = v.get("ok") {
-                                        (true, b.clone())
-                                    } else if let Some(b) = v.get("failed") {
-                                        (false, b.clone())
-                                    } else {
-                                        continue;
-                                    }
-                                }
-                                None => continue,
-                            };
-                            let prev = std::mem::replace(&mut slot.state, SlotState::Idle);
-                            slot.deaths = 0;
-                            let SlotState::Busy { task, .. } = prev else {
-                                unreachable!()
-                            };
-                            self.attempts.remove(&(task.job.clone(), task.key.clone()));
-                            out.push(FleetOutcome::CellDone {
-                                job: task.job,
-                                key: task.key,
-                                ok,
-                                body,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        // Death and deadline detection.
-        for idx in 0..self.slots.len() {
-            let (died, exit, signal, timed_out) = {
-                let slot = &mut self.slots[idx];
-                if let SlotState::Dead { .. } = &slot.state {
+            let slot = &mut self.slots[idx];
+            let result = match &mut slot.state {
+                SlotState::Backoff(until) if now >= *until => {
+                    slot.state = SlotState::Idle;
                     continue;
                 }
-                let status = slot
-                    .child
-                    .as_mut()
-                    .and_then(|c| c.try_wait().ok().flatten());
-                if let Some(status) = status {
-                    (true, status.code(), unix_signal(&status), false)
-                } else {
-                    match &slot.state {
-                        SlotState::Busy {
-                            last_seen,
-                            cell_deadline,
-                            ..
-                        } => {
-                            if now.duration_since(*last_seen).as_millis() as u64
-                                > self.cfg.deadline_ms
-                            {
-                                (true, None, None, false)
-                            } else if now >= *cell_deadline {
-                                (true, None, None, true)
-                            } else {
-                                (false, None, None, false)
-                            }
-                        }
-                        _ => (false, None, None, false),
-                    }
+                SlotState::Busy(_, cell) => cell.poll(),
+                _ => None,
+            };
+            let Some(result) = result else { continue };
+            let SlotState::Busy(task, _) = std::mem::replace(&mut slot.state, SlotState::Idle)
+            else {
+                unreachable!("only a busy slot has a result")
+            };
+            let verdict = match result {
+                Ok(verdict) => verdict,
+                Err(error) => {
+                    self.back_off(idx, now);
+                    out.extend(self.charge(task, error, queue));
+                    continue;
                 }
             };
-            if died {
-                if let Some(q) = self.reap_slot(idx, queue, exit, signal, timed_out) {
-                    out.push(q);
-                }
-            }
+            slot.deaths = 0;
+            self.attempts.remove(&(task.job.clone(), task.key.clone()));
+            let (ok, body) = match verdict {
+                WorkerVerdict::Ok(body) => (true, body),
+                WorkerVerdict::Failed(body) => (false, body),
+            };
+            out.push(FleetOutcome::CellDone {
+                job: task.job,
+                key: task.key,
+                ok,
+                body,
+            });
         }
 
-        // Assignment.
         if assign {
             for idx in 0..self.slots.len() {
                 if !matches!(self.slots[idx].state, SlotState::Idle) {
                     continue;
                 }
                 let Some(task) = queue.pop() else { break };
-                let Some((doc, spec)) = self.jobs.get(&task.job) else {
+                let Some(spec) = self.jobs.get(&task.job) else {
                     // Job was abandoned while its cell sat queued; drop it.
                     continue;
                 };
-                let cmd = Json::obj(vec![
-                    ("type", Json::Str("run".into())),
-                    ("key", Json::Str(task.key.clone())),
-                    ("job", doc.clone()),
-                ]);
-                let timeout = Duration::from_secs(spec.sweep.cell_timeout);
-                let sent = self.slots[idx]
-                    .stdin
-                    .as_mut()
-                    .map(|w| writeln!(w, "{}", cmd.render_compact()).and_then(|_| w.flush()))
-                    .unwrap_or(Err(std::io::Error::other("no stdin")));
-                match sent {
-                    Ok(()) => {
-                        self.slots[idx].state = SlotState::Busy {
-                            task,
-                            cell_deadline: now + timeout,
-                            last_seen: now,
-                        };
-                    }
-                    Err(_) => {
-                        // Treat as an immediate death of the (not yet
-                        // assigned) worker; the cell is not charged.
+                self.spawned += 1;
+                match isolate::spawn(spec, &task.key, self.spawned) {
+                    Ok(cell) => self.slots[idx].state = SlotState::Busy(task, cell),
+                    Err(e) => {
+                        // The cell never ran, so it is not charged.
+                        eprintln!("farm: cannot start a worker in slot {idx}: {e}");
                         queue.requeue(task);
-                        let slot = &mut self.slots[idx];
-                        if let Some(mut c) = slot.child.take() {
-                            let _ = c.kill();
-                            let _ = c.wait();
-                        }
-                        slot.stdin = None;
-                        slot.deaths = slot.deaths.saturating_add(1);
-                        let deaths = slot.deaths;
-                        let backoff = self.backoff(deaths - 1, idx);
-                        self.slots[idx].state = SlotState::Dead {
-                            respawn_at: now + backoff,
-                        };
+                        self.back_off(idx, now);
                     }
                 }
             }
@@ -521,18 +286,12 @@ impl Fleet {
         out
     }
 
-    /// Kills the whole fleet. Requeues nothing — callers drain or abandon
-    /// the queue themselves.
+    /// Kills every running worker. Requeues nothing — callers drain or
+    /// abandon the queue themselves.
     pub fn shutdown(&mut self) {
         for slot in &mut self.slots {
-            slot.stdin = None;
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            slot.state = SlotState::Dead {
-                respawn_at: Instant::now(),
-            };
+            // Dropping a running cell kills its worker.
+            slot.state = SlotState::Idle;
         }
     }
 }
@@ -541,17 +300,6 @@ impl Drop for Fleet {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-#[cfg(unix)]
-fn unix_signal(status: &std::process::ExitStatus) -> Option<i32> {
-    use std::os::unix::process::ExitStatusExt;
-    status.signal()
-}
-
-#[cfg(not(unix))]
-fn unix_signal(_status: &std::process::ExitStatus) -> Option<i32> {
-    None
 }
 
 #[cfg(test)]

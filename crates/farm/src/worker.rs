@@ -1,35 +1,22 @@
-//! The fleet worker: a persistent subprocess measuring cells one at a time.
+//! The fleet worker: `farm --worker-cell <key>` measures one cell.
 //!
-//! The supervisor spawns `farm --worker-loop --heartbeat-ms <n>` and speaks
-//! JSONL over its stdin/stdout:
+//! The supervisor spawns one worker per cell through `ecl_bench::isolate`,
+//! the executor `all_tests --isolate` uses, with the job's worker flags
+//! ([`ecl_bench::SweepSpec::worker_args`]). The worker parses them strictly,
+//! measures the cell with [`ecl_bench::measure_cell`], and prints its
+//! `ecl-bench/WORKER_CELL/v1` document: the same bytes an `all_tests`
+//! worker prints, so the farm's journals and reports are byte-compatible
+//! with `all_tests` sweeps. A panic, abort, or OOM kill takes down only this
+//! process; the supervisor sees the death, and the cell is retried or
+//! quarantined.
 //!
-//! ```text
-//! supervisor → worker  {"type":"run","key":"<set/input/alg/gpu>","job":<JOB/v1>}
-//! worker → supervisor  {"type":"heartbeat"}                (every interval)
-//! worker → supervisor  {"type":"result","key":"…","doc":<WORKER_CELL/v1>}
-//! ```
-//!
-//! The `doc` payload is a literal `ecl-bench/WORKER_CELL/v1` document — the
-//! same bytes a one-shot `--worker-cell` subprocess would print — so the
-//! farm's journals and reports are byte-compatible with `all_tests`
-//! sweeps. Measuring happens in-process here: a panic, abort, or OOM kill
-//! takes down this worker, the supervisor sees the death, and the cell is
-//! retried or quarantined. Stdin EOF is the shutdown signal; the worker
-//! exits 0.
-//!
-//! Heartbeats come from a dedicated thread so a long (but healthy) cell
-//! does not look dead; the *cell* deadline is the supervisor's job. Each
-//! `println!` emits one complete line under the stdout lock, so heartbeat
-//! and result lines never interleave.
+//! Before measuring, the worker applies the chaos hooks below, which the
+//! farm's kill and quarantine tests arm through the environment.
 
-use crate::api;
-use ecl_bench::{cell_json, failure_json, graph_seed, Json, Matrix};
-use ecl_core::suite::Algorithm;
-use ecl_graph::inputs::GraphInput;
-use ecl_graph::props::properties;
-use ecl_simt::GpuConfig;
-use std::io::BufRead;
-use std::time::{Duration, Instant};
+use ecl_bench::cli::Args;
+use ecl_bench::isolate::worker_doc;
+use ecl_bench::{measure_cell, SweepSpec};
+use std::time::Duration;
 
 /// Chaos hook: `ECL_FARM_POISON=<substr>` makes every cell whose key
 /// contains the substring abort the worker before measuring — a
@@ -84,106 +71,23 @@ fn apply_chaos_hooks(key: &str) {
     }
 }
 
-/// Measures one cell exactly as a `--worker-cell` subprocess would,
-/// returning the `WORKER_CELL/v1` document.
-fn measure(key: &str, job: &api::JobSpec) -> Result<Json, String> {
-    let mut parts = key.splitn(4, '/');
-    let (set, input, alg, gpu) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(s), Some(i), Some(a), Some(g)) => (s, i, a, g),
-        _ => return Err(format!("malformed cell key '{key}'")),
-    };
-    let _ = set;
-    let input =
-        GraphInput::by_name(input).ok_or_else(|| format!("unknown input '{input}' in '{key}'"))?;
-    let algorithm =
-        Algorithm::parse(alg).ok_or_else(|| format!("unknown algorithm '{alg}' in '{key}'"))?;
-    let gpu = GpuConfig::by_name(gpu).ok_or_else(|| format!("unknown gpu '{gpu}' in '{key}'"))?;
-
-    let s = &job.sweep;
-    // Same 0.9x margin as the one-shot worker: the in-process deadline
-    // fires as a typed SimError before the supervisor's wall-clock kill.
-    let e = s.experiment();
-    let mut opts = e.opts.clone();
-    opts.deadline = Some(Instant::now() + Duration::from_secs_f64(s.cell_timeout as f64 * 0.9));
-    let matrix = Matrix::quick()
-        .scale(e.scale)
-        .runs(e.runs)
-        .seed(e.seed)
-        .gpus(vec![gpu.clone()])
-        .jobs(1)
-        .sim_options(opts)
-        .retry(e.retry);
-    let graph = input.build(s.scale, graph_seed(s.seed));
-    let props = properties(&graph);
-    let verdict = match matrix.try_measure(input.name(), algorithm, &graph, &gpu, props) {
-        Ok(cell) => ecl_bench::isolate::WorkerVerdict::Ok(cell_json(&cell)),
-        Err(failure) => ecl_bench::isolate::WorkerVerdict::Failed(failure_json(&failure)),
-    };
-    Ok(ecl_bench::isolate::worker_doc(&verdict))
-}
-
-/// Entry point of `farm --worker-loop`. Never returns normally except on
-/// stdin EOF (exit 0) or a malformed command (exit 2).
-pub fn run_loop(heartbeat_ms: u64) -> ! {
-    std::thread::spawn(move || loop {
-        std::thread::sleep(Duration::from_millis(heartbeat_ms.max(10)));
-        println!(
-            "{}",
-            Json::obj(vec![("type", Json::Str("heartbeat".into()))]).render_compact()
-        );
-    });
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cmd = match Json::parse(&line) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("worker: bad command line ({e}): {line}");
-                std::process::exit(2);
-            }
-        };
-        match cmd.get("type").and_then(Json::as_str) {
-            Some("run") => {
-                let key = cmd
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string();
-                let job = cmd
-                    .get("job")
-                    .map(|j| api::parse_job(&j.render_compact()))
-                    .unwrap_or_else(|| Err("run command carries no 'job'".into()));
-                apply_chaos_hooks(&key);
-                let doc = job.and_then(|j| measure(&key, &j));
-                let doc = match doc {
-                    Ok(d) => d,
-                    Err(e) => {
-                        eprintln!("worker: cannot run '{key}': {e}");
-                        std::process::exit(2);
-                    }
-                };
-                println!(
-                    "{}",
-                    Json::obj(vec![
-                        ("type", Json::Str("result".into())),
-                        ("key", Json::Str(key)),
-                        ("doc", doc),
-                    ])
-                    .render_compact()
-                );
-            }
-            Some("shutdown") | None => break,
-            Some(other) => {
-                eprintln!("worker: unknown command type '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    std::process::exit(0);
+/// Entry point of `farm --worker-cell <key>` with the job's worker flags:
+/// measures that one cell and prints its `WORKER_CELL/v1` document.
+///
+/// # Errors
+///
+/// The one-line usage error for a command line the worker cannot honour;
+/// nothing is measured then.
+pub fn run_cell(argv: &[String]) -> Result<(), String> {
+    let mut flags = SweepSpec::FLAGS.to_vec();
+    flags.push("--worker-cell");
+    let args = Args::parse(argv, &flags, &[])?;
+    let spec = SweepSpec::from_args(&args)?;
+    let key = args
+        .value("--worker-cell")
+        .ok_or("--worker-cell needs a value")?;
+    apply_chaos_hooks(key);
+    let verdict = measure_cell(&spec, key)?;
+    println!("{}", worker_doc(&verdict).render_compact());
+    Ok(())
 }

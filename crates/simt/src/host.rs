@@ -46,6 +46,10 @@ pub struct Gpu {
     sanitizer: Option<SanitizerState>,
     mode_table: Option<ModeTable>,
     launches: RunStats,
+    /// The id of the next launch. Failed launches are not recorded in
+    /// `launches` but still use up an id, so every launch a sink sees on
+    /// this device has its own.
+    next_launch: u32,
     total_cycles: u64,
 }
 
@@ -76,6 +80,7 @@ impl Gpu {
             sanitizer: None,
             mode_table: None,
             launches: RunStats::default(),
+            next_launch: 0,
             total_cycles: 0,
         }
     }
@@ -333,7 +338,8 @@ impl Gpu {
         launch: LaunchConfig,
         kernel: &K,
     ) -> Result<(), SimError> {
-        let id = self.launches.num_launches() as u32;
+        let id = self.next_launch;
+        self.next_launch = id.wrapping_add(1);
         // Destructure so the catch_unwind closure borrows fields, not self.
         let Gpu {
             config,
@@ -391,13 +397,6 @@ impl Gpu {
         &self.launches
     }
 
-    /// Resets the timeline and launch history but keeps memory contents and
-    /// cache state (like `cudaEventRecord` bracketing only the timed region).
-    pub fn reset_timing(&mut self) {
-        self.total_cycles = 0;
-        self.launches = RunStats::default();
-    }
-
     /// Direct access to device memory for host-side verification code.
     pub fn memory(&self) -> &Memory {
         &self.memory
@@ -436,9 +435,6 @@ mod tests {
         );
         assert!(gpu.elapsed_cycles() > after_one);
         assert_eq!(gpu.run_stats().num_launches(), 2);
-        gpu.reset_timing();
-        assert_eq!(gpu.elapsed_cycles(), 0);
-        // Memory survives the timing reset.
         assert_eq!(gpu.download(&buf)[0], 2);
     }
 
@@ -477,6 +473,30 @@ mod tests {
         assert_eq!(seen.events.len(), 32);
         assert!(seen.events[..16].iter().all(|e| e.launch == 0));
         assert_eq!(seen.events[16].launch, 1);
+    }
+
+    #[test]
+    fn a_failed_launch_uses_up_its_id() {
+        // A failed launch is not recorded, but the launch after it must not
+        // reuse its id: a sink would merge the two launches.
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        gpu.observe(Recorder::default());
+        let buf = gpu.alloc::<u32>(16);
+        gpu.set_watchdog(Some(0));
+        let failed = gpu.try_launch(
+            LaunchConfig::for_items(16),
+            ForEach::new("a", 16, move |ctx, i| ctx.store(buf.at(i as usize), i)),
+        );
+        assert!(matches!(failed, Err(SimError::WatchdogTimeout { .. })));
+        gpu.set_watchdog(None);
+        gpu.launch(
+            LaunchConfig::for_items(16),
+            ForEach::new("b", 16, move |ctx, i| ctx.store(buf.at(i as usize), i)),
+        );
+        assert_eq!(gpu.run_stats().num_launches(), 1);
+        let seen = gpu.sink::<Recorder>().expect("armed");
+        assert_eq!(seen.launches, [(0, "a".to_string()), (1, "b".to_string())]);
+        assert!(seen.events.iter().any(|e| e.launch == 1));
     }
 
     #[test]
