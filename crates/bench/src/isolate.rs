@@ -181,10 +181,18 @@ impl RunningCell {
             }
             Err(e) => Err(e),
         };
-        Some(match waited {
+        let verdict = match waited {
             Ok((status, timed_out)) => self.verdict(status, timed_out),
             Err(e) => Err(worker_error(format!("wait failed: {e}"))),
-        })
+        };
+        // The verdict holds all it needs of the files, stderr tail included.
+        self.remove_capture_files();
+        Some(verdict)
+    }
+
+    fn remove_capture_files(&self) {
+        let _ = std::fs::remove_file(&self.out_path);
+        let _ = std::fs::remove_file(&self.err_path);
     }
 
     fn verdict(
@@ -218,8 +226,6 @@ impl RunningCell {
                 stdout.trim()
             )));
         }
-        let _ = std::fs::remove_file(&self.out_path);
-        let _ = std::fs::remove_file(&self.err_path);
         if let Some(body) = doc.get("ok") {
             Ok(WorkerVerdict::Ok(body.clone()))
         } else if let Some(body) = doc.get("failed") {
@@ -235,6 +241,7 @@ impl Drop for RunningCell {
         // A reaped child is not signalled again.
         let _ = self.child.kill();
         let _ = self.child.wait();
+        self.remove_capture_files();
     }
 }
 
@@ -293,6 +300,11 @@ mod tests {
     // and the `--worker-cell <key>` tokens run_worker appends land in the
     // script's $0/$1, harmlessly. Real protocol end-to-end coverage (the
     // actual binary as the worker) lives in tests/crash_safety.rs.
+    fn capture_files(s: &IsolateSpec, seq: u64) -> [PathBuf; 2] {
+        let stem = format!("cell-{}-{seq}", incarnation());
+        ["out", "err"].map(|ext| s.scratch.join(format!("{stem}.{ext}")))
+    }
+
     fn spec(script: &str, timeout_ms: u64) -> IsolateSpec {
         IsolateSpec {
             exe: PathBuf::from("/bin/sh"),
@@ -332,6 +344,9 @@ mod tests {
             }
             other => panic!("expected Worker, got {other:?}"),
         }
+        for path in capture_files(&s, 1) {
+            assert!(!path.exists(), "{} outlived its verdict", path.display());
+        }
     }
 
     #[test]
@@ -365,6 +380,9 @@ mod tests {
             started.elapsed() < Duration::from_secs(10),
             "drop waited for the worker instead of killing it"
         );
+        for path in capture_files(&s, 20) {
+            assert!(!path.exists(), "{} outlived its worker", path.display());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    `Result::Err` directly — no panic involved.
 //! 2. **Data-path errors** (an out-of-bounds device access) are detected in
 //!    the middle of a `Ctx` memory operation, far below any `Result` return
-//!    path, and would otherwise abort the process. [`raise`] stashes the
+//!    path, and would otherwise abort the process. The executor stashes the
 //!    typed error in a thread-local and unwinds; [`catch_sim`] (and
 //!    [`crate::Gpu::try_launch`], which uses it) catches the unwind and
 //!    converts it back into a typed `Err`.

@@ -17,7 +17,7 @@ use crate::contract::SanitizerState;
 use crate::error::{self, SimError};
 use crate::fault::FaultState;
 use crate::ir::{ModePair, ModeTable};
-use crate::mem::{DevicePtr, DeviceValue, MemLevel, MemSystem, Memory};
+use crate::mem::{DevicePtr, DeviceValue, MemLevel, MemPort, MemSystem, Memory};
 use crate::metrics::KernelStats;
 use crate::sink::{AccessEvent, AccessSink, Space};
 
@@ -334,10 +334,12 @@ impl StoreBuf {
 /// instead of bouncing through `&mut` indirections on every access. The
 /// context itself is likewise built once per block iteration, not per
 /// thread step: per-thread state (`thread`, `sbuf_idx`) is patched in
-/// place, which keeps the ~20-field construction off the hot loop.
+/// place, which keeps the construction, and the SM's memory port with it,
+/// off the hot loop.
 pub struct Ctx<'a, H: Hooks = FullHooks> {
     pub(crate) mem: &'a mut Memory,
-    pub(crate) msys: &'a mut MemSystem,
+    /// The memory system as the block's SM sees it.
+    port: MemPort<'a>,
     sinks: &'a mut [Box<dyn AccessSink>],
     fault: Option<&'a mut FaultState>,
     sanitizer: Option<&'a mut SanitizerState>,
@@ -353,7 +355,6 @@ pub struct Ctx<'a, H: Hooks = FullHooks> {
     cycles: u64,
     /// Access counters for the current step (flushed to the launch totals).
     counters: LaunchCounters,
-    sm: u32,
     launch: u32,
     block: u32,
     phase: u32,
@@ -363,9 +364,6 @@ pub struct Ctx<'a, H: Hooks = FullHooks> {
     visibility: StoreVisibility,
     native_64bit: bool,
     alu_cycles: u32,
-    l1_cycles: u32,
-    l2_cycles: u32,
-    atomic_extra: u32,
     _hooks: std::marker::PhantomData<H>,
 }
 
@@ -445,7 +443,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     /// only orders this thread's own accesses.)
     pub fn threadfence(&mut self) {
         self.drain_all();
-        self.cycles += self.l2_cycles as u64;
+        self.cycles += self.port.l2_cycles as u64;
     }
 
     #[inline]
@@ -543,12 +541,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
 
     /// Writes one deferred store to the arena, charging its cost.
     fn commit_store(&mut self, e: StoreEntry) {
-        let (cost, _) = self.msys.access(
-            self.sm as usize,
-            e.addr,
-            AccessMode::Plain,
-            AccessKind::Store,
-        );
+        let (cost, _) = self
+            .port
+            .access(e.addr, AccessMode::Plain, AccessKind::Store);
         self.cycles += cost as u64;
         self.mem.write_bits(e.addr, e.width, e.bits);
     }
@@ -641,12 +636,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                 self.drain_overlapping(ptr.addr(), T::WIDTH);
             }
         }
-        let (cost, level) = self.msys.access(
-            self.sm as usize,
-            ptr.addr(),
-            AccessMode::Plain,
-            AccessKind::Load,
-        );
+        let (cost, level) = self
+            .port
+            .access(ptr.addr(), AccessMode::Plain, AccessKind::Load);
         self.cycles += cost as u64;
         let bits = self.mem.read(ptr).to_bits();
         T::from_bits(self.maybe_flip(bits, T::WIDTH, level))
@@ -676,12 +668,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         );
         match self.visibility {
             StoreVisibility::Immediate => {
-                let (cost, _) = self.msys.access(
-                    self.sm as usize,
-                    ptr.addr(),
-                    AccessMode::Plain,
-                    AccessKind::Store,
-                );
+                let (cost, _) = self
+                    .port
+                    .access(ptr.addr(), AccessMode::Plain, AccessKind::Store);
                 self.cycles += cost as u64;
                 self.mem.write(ptr, value);
             }
@@ -700,12 +689,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                         bits: value.to_bits(),
                     });
                 } else {
-                    let (cost, _) = self.msys.access(
-                        self.sm as usize,
-                        ptr.addr(),
-                        AccessMode::Plain,
-                        AccessKind::Store,
-                    );
+                    let (cost, _) =
+                        self.port
+                            .access(ptr.addr(), AccessMode::Plain, AccessKind::Store);
                     self.cycles += cost as u64;
                     self.mem.write(ptr, value);
                 }
@@ -748,9 +734,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                     return bits as u32;
                 }
                 self.drain_overlapping(addr, 4);
-                let (cost, level) =
-                    self.msys
-                        .access(self.sm as usize, addr, mode, AccessKind::Load);
+                let (cost, level) = self.port.access(addr, mode, AccessKind::Load);
                 self.cycles += cost as u64;
                 let bits = self.mem.read_bits(addr, 4);
                 self.maybe_flip(bits, 4, level) as u32
@@ -759,9 +743,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                 self.counters.volatile_ += 1;
                 self.record(Space::Global, addr, 4, mode, AccessKind::Load);
                 self.drain_overlapping(addr, 4);
-                let (cost, level) =
-                    self.msys
-                        .access(self.sm as usize, addr, mode, AccessKind::Load);
+                let (cost, level) = self.port.access(addr, mode, AccessKind::Load);
                 self.cycles += cost as u64;
                 let bits = self.mem.read_bits(addr, 4);
                 self.maybe_flip(bits, 4, level) as u32
@@ -779,9 +761,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         }
         self.record(Space::Global, addr, 4, mode, AccessKind::Store);
         self.drain_overlapping(addr, 4);
-        let (cost, _) = self
-            .msys
-            .access(self.sm as usize, addr, mode, AccessKind::Store);
+        let (cost, _) = self.port.access(addr, mode, AccessKind::Store);
         self.cycles += cost as u64;
         self.mem.write_bits(addr, 4, value as u64);
     }
@@ -806,9 +786,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                         bits: value as u64,
                     });
                 } else {
-                    let (cost, _) =
-                        self.msys
-                            .access(self.sm as usize, addr, mode, AccessKind::Store);
+                    let (cost, _) = self.port.access(addr, mode, AccessKind::Store);
                     self.cycles += cost as u64;
                     self.mem.write_bits(addr, 4, value as u64);
                 }
@@ -817,9 +795,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
                 self.counters.volatile_ += 1;
                 self.record(Space::Global, addr, 4, mode, AccessKind::Store);
                 self.drain_overlapping(addr, 4);
-                let (cost, _) = self
-                    .msys
-                    .access(self.sm as usize, addr, mode, AccessKind::Store);
+                let (cost, _) = self.port.access(addr, mode, AccessKind::Store);
                 self.cycles += cost as u64;
                 self.mem.write_bits(addr, 4, value as u64);
             }
@@ -847,12 +823,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
             AccessKind::Load,
         );
         self.drain_overlapping(ptr.addr(), T::WIDTH);
-        let (cost, level) = self.msys.access(
-            self.sm as usize,
-            ptr.addr(),
-            AccessMode::Volatile,
-            AccessKind::Load,
-        );
+        let (cost, level) = self
+            .port
+            .access(ptr.addr(), AccessMode::Volatile, AccessKind::Load);
         self.cycles += cost as u64;
         let bits = self.mem.read(ptr).to_bits();
         T::from_bits(self.maybe_flip(bits, T::WIDTH, level))
@@ -877,12 +850,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
             AccessKind::Store,
         );
         self.drain_overlapping(ptr.addr(), T::WIDTH);
-        let (cost, _) = self.msys.access(
-            self.sm as usize,
-            ptr.addr(),
-            AccessMode::Volatile,
-            AccessKind::Store,
-        );
+        let (cost, _) = self
+            .port
+            .access(ptr.addr(), AccessMode::Volatile, AccessKind::Store);
         self.cycles += cost as u64;
         self.mem.write(ptr, value);
     }
@@ -919,29 +889,25 @@ impl<'a, H: Hooks> Ctx<'a, H> {
             // Block scope: coherent within one SM, serviced by its L1.
             Scope::Block => {
                 let extra = if kind == AccessKind::Rmw {
-                    self.atomic_extra
+                    self.port.atomic_extra
                 } else {
                     0
                 };
-                (self.l1_cycles + extra) as u64
+                (self.port.l1_cycles + extra) as u64
             }
             // Device scope: the L2 coherence point (the converted ECL codes).
             Scope::Device => {
-                let (cost, _) = self
-                    .msys
-                    .access(self.sm as usize, addr, AccessMode::Atomic, kind);
+                let (cost, _) = self.port.access(addr, AccessMode::Atomic, kind);
                 cost as u64
             }
             // System scope: L2 plus the system-coherence round trip.
             Scope::System => {
-                let (cost, _) = self
-                    .msys
-                    .access(self.sm as usize, addr, AccessMode::Atomic, kind);
-                (cost + 2 * self.l2_cycles) as u64
+                let (cost, _) = self.port.access(addr, AccessMode::Atomic, kind);
+                (cost + 2 * self.port.l2_cycles) as u64
             }
         };
         // Ordering fences: each fence costs an L2 round trip.
-        let fences = (order.fence_count() * self.l2_cycles) as u64;
+        let fences = (order.fence_count() * self.port.l2_cycles) as u64;
         self.cycles += base + fences;
     }
 
@@ -1092,7 +1058,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
             AccessMode::Plain,
             AccessKind::Load,
         );
-        self.cycles += self.l1_cycles as u64;
+        self.cycles += self.port.l1_cycles as u64;
         T::read_from(self.shared, offset)
     }
 
@@ -1110,7 +1076,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
             AccessMode::Plain,
             AccessKind::Store,
         );
-        self.cycles += self.l1_cycles as u64;
+        self.cycles += self.port.l1_cycles as u64;
         value.write_to(self.shared, offset);
     }
 }
@@ -1121,6 +1087,58 @@ enum ThreadStatus {
     Active,
     AtBarrier,
     Done,
+}
+
+/// The per-launch scheduler state whose type does not depend on the
+/// kernel. A [`crate::Gpu`] owns one and every launch resets it to the
+/// launch's geometry, so a launch allocates only where it outgrows the
+/// launches before it.
+#[derive(Default)]
+pub(crate) struct LaunchBuffers {
+    statuses: Vec<ThreadStatus>,
+    yields: Vec<u32>,
+    /// One per thread of the largest launch so far; every one is empty
+    /// between launches and keeps its capacity.
+    sbufs: Vec<StoreBuf>,
+    phases: Vec<u32>,
+    sm_cycles: Vec<u64>,
+    /// Per-block Active / AtBarrier counts (see `run_wave`).
+    active_cnt: Vec<u32>,
+    barrier_cnt: Vec<u32>,
+    /// The current wave's blocks in scheduling order.
+    block_order: Vec<u32>,
+    /// `grid_blocks` shared-memory windows of `shared_bytes` each.
+    shared: Vec<u8>,
+    /// Set while a launch runs. Still set at the next launch when the last
+    /// one failed, whose threads may have died holding deferred stores.
+    in_flight: bool,
+}
+
+impl LaunchBuffers {
+    /// Sizes and zeroes every buffer for a launch; the store buffers of a
+    /// failed launch are emptied so none of its stores reach this one.
+    fn reset(&mut self, num_threads: usize, grid_blocks: usize, shared_bytes: usize, sms: usize) {
+        if std::mem::replace(&mut self.in_flight, true) {
+            for sbuf in &mut self.sbufs {
+                sbuf.entries.clear();
+            }
+        }
+        if self.sbufs.len() < num_threads {
+            self.sbufs.resize_with(num_threads, StoreBuf::new);
+        }
+        refill(&mut self.statuses, num_threads, ThreadStatus::Active);
+        refill(&mut self.yields, num_threads, 0);
+        refill(&mut self.phases, grid_blocks, 0);
+        refill(&mut self.sm_cycles, sms, 0);
+        refill(&mut self.active_cnt, grid_blocks, 0);
+        refill(&mut self.barrier_cnt, grid_blocks, 0);
+        refill(&mut self.shared, grid_blocks * shared_bytes, 0);
+    }
+}
+
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 /// Runs one kernel to completion; returns its stats, or a typed error when
@@ -1134,6 +1152,7 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
     cfg: &GpuConfig,
     mem: &mut Memory,
     msys: &mut MemSystem,
+    bufs: &mut LaunchBuffers,
     sinks: &mut [Box<dyn AccessSink>],
     launch_id: u32,
     seed: u64,
@@ -1158,7 +1177,7 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
     // runs, so resolving the table per allocation here is exact.
     let modes = mode_table.map_or_else(Vec::new, |t| t.resolve(kernel.name(), mem));
 
-    // Per-thread coroutine states and store buffers.
+    // Per-thread coroutine states; everything else lives in `bufs`.
     let mut states: Vec<K::State> = (0..num_threads)
         .map(|tid| {
             kernel.init(ThreadInfo {
@@ -1169,17 +1188,13 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
             })
         })
         .collect();
-    let mut statuses = vec![ThreadStatus::Active; num_threads as usize];
-    let mut yields = vec![0u32; num_threads as usize];
-    let mut sbufs: Vec<StoreBuf> = (0..num_threads).map(|_| StoreBuf::new()).collect();
-    let mut shared: Vec<Vec<u8>> = (0..grid_blocks)
-        .map(|_| vec![0u8; launch.shared_bytes as usize])
-        .collect();
-    let mut phases = vec![0u32; grid_blocks as usize];
-    let mut sm_cycles = vec![0u64; cfg.num_sms as usize];
+    bufs.reset(
+        num_threads as usize,
+        grid_blocks as usize,
+        launch.shared_bytes as usize,
+        cfg.num_sms as usize,
+    );
     let mut counters = LaunchCounters::default();
-
-    let sm_of = |block: u32| -> u32 { block % cfg.num_sms };
 
     msys.reset_stats();
 
@@ -1191,16 +1206,15 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
     let mut wave_start = 0u32;
     while wave_start < grid_blocks {
         let wave_end = (wave_start + wave_blocks).min(grid_blocks);
-        let mut block_order: Vec<u32> = (wave_start..wave_end).collect();
+        bufs.block_order.clear();
+        bufs.block_order.extend(wave_start..wave_end);
         shuffle(
-            &mut block_order,
+            &mut bufs.block_order,
             seed ^ ((launch_id as u64) << 32) ^ wave_start as u64,
         );
-        let wave_len = block_order.len();
         run_wave(
             cfg,
             kernel,
-            &block_order,
             block_threads,
             seed,
             launch_id,
@@ -1210,16 +1224,9 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
             sinks,
             &modes,
             &mut states,
-            &mut statuses,
-            &mut yields,
-            &mut sbufs,
-            &mut shared,
-            &mut phases,
-            &mut sm_cycles,
+            bufs,
             &mut counters,
             launch,
-            &sm_of,
-            wave_len,
             watchdog,
             deadline,
             &mut fault,
@@ -1227,8 +1234,10 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
         )?;
         wave_start = wave_end;
     }
+    // Every thread finished, and finishing drains its store buffer.
+    bufs.in_flight = false;
 
-    let busiest = sm_cycles.iter().copied().max().unwrap_or(0);
+    let busiest = bufs.sm_cycles.iter().copied().max().unwrap_or(0);
     Ok(KernelStats {
         name: kernel.name().to_string(),
         cycles: busiest + cfg.launch_overhead_cycles,
@@ -1244,12 +1253,11 @@ pub(crate) fn run_kernel<H: Hooks, K: Kernel<H>>(
     })
 }
 
-/// Runs one resident wave of blocks to completion.
+/// Runs one resident wave of blocks, `bufs.block_order`, to completion.
 #[allow(clippy::too_many_arguments)]
 fn run_wave<H: Hooks, K: Kernel<H>>(
     cfg: &GpuConfig,
     kernel: &K,
-    block_order: &[u32],
     block_threads: u32,
     seed: u64,
     launch_id: u32,
@@ -1259,31 +1267,36 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
     sinks: &mut [Box<dyn AccessSink>],
     modes: &[Option<ModePair>],
     states: &mut [K::State],
-    statuses: &mut [ThreadStatus],
-    yields: &mut [u32],
-    sbufs: &mut [StoreBuf],
-    shared: &mut [Vec<u8>],
-    phases: &mut [u32],
-    sm_cycles: &mut [u64],
+    bufs: &mut LaunchBuffers,
     counters: &mut LaunchCounters,
     launch: LaunchConfig,
-    sm_of: &dyn Fn(u32) -> u32,
-    wave_len: usize,
     watchdog: Option<u64>,
     deadline: Option<std::time::Instant>,
     fault: &mut Option<&mut FaultState>,
     sanitizer: &mut Option<&mut SanitizerState>,
 ) -> Result<(), SimError> {
+    let LaunchBuffers {
+        statuses,
+        yields,
+        sbufs,
+        phases,
+        sm_cycles,
+        active_cnt,
+        barrier_cnt,
+        block_order,
+        shared,
+        ..
+    } = bufs;
+    let shared_bytes = launch.shared_bytes as usize;
+    let wave_len = block_order.len();
     // Per-block Active / AtBarrier counts, maintained incrementally so the
     // scheduler can skip fully-finished blocks and release barriers in O(1)
     // instead of rescanning every thread's status each round. Indexed by
-    // global block id; only this wave's entries are used. Pure bookkeeping:
-    // the order and identity of executed steps is exactly as before (the
-    // skipped iterations were no-ops).
-    let num_blocks = (num_threads / block_threads) as usize;
-    let mut active_cnt = vec![0u32; num_blocks];
-    let mut barrier_cnt = vec![0u32; num_blocks];
-    for &b in block_order {
+    // global block id; only this wave's entries are used, and each block
+    // belongs to one wave, so the launch's zeroing suffices. Pure
+    // bookkeeping: the order and identity of executed steps is exactly as
+    // before (the skipped iterations were no-ops).
+    for &b in block_order.iter() {
         let first = b * block_threads;
         for t in first..first + block_threads {
             match statuses[t as usize] {
@@ -1319,16 +1332,17 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
                 // barrier to release.
                 continue;
             }
-            let sm = sm_of(block);
+            let sm = (block % cfg.num_sms) as usize;
             let first = block * block_threads;
             if active_cnt[b] > 0 {
                 // The context is built once per block iteration; only the
                 // per-thread fields are patched inside the loop. All threads
-                // of a block run on the same SM, so cycles and counters can
-                // be flushed once after the loop with an identical sum.
+                // of a block run on the same SM, so they share one memory
+                // port, and cycles and counters can be flushed once after
+                // the loop with an identical sum.
                 let mut ctx = Ctx {
                     mem: &mut *mem,
-                    msys: &mut *msys,
+                    port: msys.port(sm),
                     sinks: &mut *sinks,
                     fault: fault.as_deref_mut(),
                     sanitizer: sanitizer.as_deref_mut(),
@@ -1336,22 +1350,18 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
                     modes,
                     sbufs: &mut *sbufs,
                     sbuf_idx: 0,
-                    shared: &mut shared[block as usize],
+                    shared: &mut shared[b * shared_bytes..(b + 1) * shared_bytes],
                     cycles: 0,
                     counters: LaunchCounters::default(),
-                    sm,
                     launch: launch_id,
                     block,
-                    phase: phases[block as usize],
+                    phase: phases[b],
                     thread: 0,
                     num_threads,
                     thread_in_block: 0,
                     visibility: launch.store_visibility,
                     native_64bit: cfg.native_64bit,
                     alu_cycles: cfg.alu_cycles,
-                    l1_cycles: cfg.l1_cycles,
-                    l2_cycles: cfg.l2_cycles,
-                    atomic_extra: cfg.atomic_extra_cycles,
                     _hooks: std::marker::PhantomData,
                 };
                 for t in first..first + block_threads {
@@ -1397,7 +1407,7 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
                 }
                 // Batched accounting: one flush per block iteration instead
                 // of one indirect add per access.
-                sm_cycles[sm as usize] += ctx.cycles;
+                sm_cycles[sm] += ctx.cycles;
                 counters.merge(&ctx.counters);
             }
             // Barrier release: when no thread in the block is Active, all
@@ -1421,7 +1431,7 @@ fn run_wave<H: Hooks, K: Kernel<H>>(
             }
             active_cnt[b] = barrier_cnt[b];
             barrier_cnt[b] = 0;
-            phases[block as usize] += 1;
+            phases[b] += 1;
         }
         // The watchdog and the fault budget are checked once per scheduler
         // round — the granularity at which the simulator can interrupt a

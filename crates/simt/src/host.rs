@@ -5,7 +5,7 @@
 use crate::config::GpuConfig;
 use crate::contract::{KernelContract, SanitizerState};
 use crate::error::{self, catch_sim, SimError};
-use crate::exec::{run_kernel, FullHooks, Hooks, Kernel, LaunchConfig};
+use crate::exec::{run_kernel, FullHooks, Hooks, Kernel, LaunchBuffers, LaunchConfig};
 use crate::fault::{FaultPlan, FaultReport, FaultState};
 use crate::ir::ModeTable;
 use crate::mem::{DeviceBuffer, DeviceValue, MemSystem, Memory};
@@ -38,6 +38,8 @@ pub struct Gpu {
     config: GpuConfig,
     memory: Memory,
     msys: MemSystem,
+    /// The scheduler's per-launch vectors, kept across launches.
+    buffers: LaunchBuffers,
     sinks: Vec<Box<dyn AccessSink>>,
     seed: u64,
     watchdog: Option<u64>,
@@ -72,6 +74,7 @@ impl Gpu {
             config,
             memory: Memory::new(),
             msys,
+            buffers: LaunchBuffers::default(),
             sinks: Vec::new(),
             seed: 0,
             watchdog,
@@ -345,6 +348,7 @@ impl Gpu {
             config,
             memory,
             msys,
+            buffers,
             sinks,
             seed,
             watchdog,
@@ -360,6 +364,7 @@ impl Gpu {
                 config,
                 memory,
                 msys,
+                buffers,
                 sinks,
                 id,
                 seed,
@@ -497,6 +502,60 @@ mod tests {
         let seen = gpu.sink::<Recorder>().expect("armed");
         assert_eq!(seen.launches, [(0, "a".to_string()), (1, "b".to_string())]);
         assert!(seen.events.iter().any(|e| e.launch == 1));
+    }
+
+    #[test]
+    fn a_failed_launchs_held_stores_die_with_it() {
+        // Launch A's thread defers a store, then spins until the watchdog
+        // fails the launch. The device keeps its store buffers across
+        // launches, but A's held store must neither be forwarded to B's
+        // load nor drain into memory when B's thread finishes.
+        struct StoreThenSpin {
+            x: DeviceBuffer<u32>,
+        }
+        impl Kernel for StoreThenSpin {
+            type State = bool;
+            fn name(&self) -> &str {
+                "store-then-spin"
+            }
+            fn init(&self, _: crate::exec::ThreadInfo) -> bool {
+                false
+            }
+            fn step(&self, stored: &mut bool, ctx: &mut crate::exec::Ctx<'_>) -> crate::Step {
+                if !*stored {
+                    ctx.store(self.x.at(0), 7);
+                    *stored = true;
+                }
+                ctx.compute(1);
+                crate::Step::Yield
+            }
+        }
+        let one_thread = LaunchConfig {
+            grid_blocks: 1,
+            block_threads: 1,
+            store_visibility: crate::StoreVisibility::DeferUntilDone,
+            shared_bytes: 0,
+            exact_geometry: true,
+        };
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let x = gpu.alloc::<u32>(1);
+        let y = gpu.alloc::<u32>(1);
+        gpu.set_watchdog(Some(1));
+        let failed = gpu.try_launch(one_thread, StoreThenSpin { x });
+        assert!(matches!(failed, Err(SimError::WatchdogTimeout { .. })));
+        gpu.set_watchdog(None);
+        gpu.launch(
+            LaunchConfig {
+                store_visibility: crate::StoreVisibility::Immediate,
+                ..one_thread
+            },
+            ForEach::new("copy", 1, move |ctx, _| {
+                let v = ctx.load(x.at(0));
+                ctx.store(y.at(0), v);
+            }),
+        );
+        assert_eq!(gpu.download(&x), [0]);
+        assert_eq!(gpu.download(&y), [0]);
     }
 
     #[test]

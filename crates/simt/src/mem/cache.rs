@@ -45,12 +45,13 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// `tags[set * ways + way]`, most-recently-used way first within each
-    /// set; `u64::MAX` marks an empty way (line numbers are at most 32-bit,
-    /// so no real line collides with the sentinel). Sets past the end have
+    /// set; `u32::MAX` marks an empty way. A line number is `addr >>
+    /// line_shift` with lines of at least 2 bytes, so it stays below 2^31
+    /// and no real line collides with the sentinel. Sets past the end have
     /// never been accessed and are empty: the storage grows on first use of
     /// a set instead of filling every set up front, so a device costs
     /// memory in proportion to the addresses its runs touch.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     num_sets: u32,
     ways: u32,
     line_shift: u32,
@@ -75,14 +76,16 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is not a power of two, the cache is smaller
-    /// than one line, `ways` exceeds the line count, or the line count is
-    /// not a multiple of `ways`.
+    /// Panics if `line_bytes` is not a power of two or is under 2 bytes
+    /// (a 1-byte line's number could equal the empty-way sentinel), the
+    /// cache is smaller than one line, `ways` exceeds the line count, or
+    /// the line count is not a multiple of `ways`.
     pub fn new(size_kib: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(line_bytes >= 2, "line size must be at least 2 bytes");
         assert!(ways >= 1, "need at least one way");
         let lines = size_kib * 1024 / line_bytes;
         assert!(
@@ -134,9 +137,9 @@ impl Cache {
     /// Returns `true` on a hit.
     #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        let line = (addr as u64) >> self.line_shift;
+        let line = addr >> self.line_shift;
         let ways = self.ways as usize;
-        let base = self.set_index(line) * ways;
+        let base = self.set_index(line as u64) * ways;
         if self.tags.len() < base + ways {
             self.grow(base + ways);
         }
@@ -171,13 +174,13 @@ impl Cache {
         let full = (self.num_sets * self.ways) as usize;
         let len = len.max(2 * self.tags.len()).min(full);
         self.tags.reserve_exact(len - self.tags.len());
-        self.tags.resize(len, u64::MAX);
+        self.tags.resize(len, u32::MAX);
     }
 
     /// Checks for the line without allocating or counting (probe).
     pub fn probe(&self, addr: u32) -> bool {
-        let line = (addr as u64) >> self.line_shift;
-        let base = self.set_index(line) * self.ways as usize;
+        let line = addr >> self.line_shift;
+        let base = self.set_index(line as u64) * self.ways as usize;
         self.tags
             .get(base..base + self.ways as usize)
             .is_some_and(|set| set.contains(&line))
@@ -191,9 +194,9 @@ impl Cache {
     /// store to a cached line keeps the line hot without fetching anything.
     #[inline]
     pub fn touch(&mut self, addr: u32) -> bool {
-        let line = (addr as u64) >> self.line_shift;
+        let line = addr >> self.line_shift;
         let ways = self.ways as usize;
-        let base = self.set_index(line) * ways;
+        let base = self.set_index(line as u64) * ways;
         let Some(set) = self.tags.get_mut(base..base + ways) else {
             return false;
         };
@@ -311,6 +314,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_rejected() {
+        // Line 2^32 - 1 of 1-byte lines would equal the empty-way sentinel.
+        let _ = Cache::new(1, 1, 1);
+    }
+
+    #[test]
     fn paper_gpu_geometries_are_valid() {
         // Every preset GPU's L1/L2 must construct under the strict checks.
         for cfg in crate::GpuConfig::paper_gpus() {
@@ -353,8 +363,10 @@ mod tests {
     fn mtf_matches_stamp_lru() {
         // Differential check of the move-to-front representation against a
         // straightforward stamp-based LRU reference, over a random-ish
-        // access stream on a non-power-of-two geometry (6 KiB, 3-way, 32 B
-        // -> 64 sets... 6*1024/32 = 192 lines / 3 = 64 sets; use (6,3,32)).
+        // access stream on three geometries: 6 KiB, 3-way, 32 B (64 sets,
+        // the mask path); the paper L1 (96 KiB, 4-way: 768 sets, the
+        // fixed-point path); and 48 KiB, 16-way (96 sets), the L2s' way
+        // count, where one set's tags take 64 bytes.
         struct RefLru {
             tags: Vec<u64>,
             stamps: Vec<u64>,
@@ -388,32 +400,45 @@ mod tests {
                 false
             }
         }
-        let mut c = Cache::new(6, 3, 32);
-        let mut r = RefLru {
-            tags: vec![u64::MAX; 192],
-            stamps: vec![0; 192],
-            sets: 64,
-            ways: 3,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        };
-        let mut x = 0x5eedu64;
-        for i in 0..200_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Mix tight reuse with far strides so hits and evictions both occur.
-            let addr = if i % 3 == 0 {
-                (x >> 40) as u32 & 0xfff
-            } else {
-                (x >> 33) as u32
+        for (kib, ways, sets) in [(6u32, 3u32, 64u64), (96, 4, 768), (48, 16, 96)] {
+            let mut c = Cache::new(kib, ways, 32);
+            let lines = c.num_lines() as usize;
+            assert_eq!(lines as u64, sets * ways as u64);
+            let mut r = RefLru {
+                tags: vec![u64::MAX; lines],
+                stamps: vec![0; lines],
+                sets,
+                ways: ways as usize,
+                clock: 0,
+                hits: 0,
+                misses: 0,
             };
-            assert_eq!(c.access(addr), r.access(addr), "access #{i} addr {addr}");
+            let mut x = 0x5eedu64;
+            for i in 0..200_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Mix tight reuse with far strides so hits and evictions both occur.
+                let addr = if i % 3 == 0 {
+                    (x >> 40) as u32 & 0xfff
+                } else {
+                    (x >> 33) as u32
+                };
+                assert_eq!(
+                    c.access(addr),
+                    r.access(addr),
+                    "{kib} KiB {ways}-way: access #{i} addr {addr}"
+                );
+            }
+            assert_eq!(c.stats().hits, r.hits);
+            assert_eq!(c.stats().misses, r.misses);
+            assert!(r.hits > 0 && r.misses > 0);
+            // More misses than lines: the stream evicted, not just filled.
+            assert!(
+                r.misses > lines as u64,
+                "{kib} KiB {ways}-way never evicted"
+            );
         }
-        assert_eq!(c.stats().hits, r.hits);
-        assert_eq!(c.stats().misses, r.misses);
-        assert!(r.hits > 0 && r.misses > 0);
     }
 
     #[test]

@@ -53,6 +53,26 @@ impl MemSystem {
         }
     }
 
+    /// One SM's view of the hierarchy: its L1, the shared L2, the DRAM
+    /// counter and the latencies, borrowed once so that a run of accesses
+    /// from one SM indexes its L1 once instead of once per access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is out of range for the configured SM count.
+    #[inline]
+    pub(crate) fn port(&mut self, sm: usize) -> MemPort<'_> {
+        MemPort {
+            l1: &mut self.l1[sm],
+            l2: &mut self.l2,
+            dram_accesses: &mut self.dram_accesses,
+            l1_cycles: self.l1_cycles,
+            l2_cycles: self.l2_cycles,
+            dram_cycles: self.dram_cycles,
+            atomic_extra: self.atomic_extra,
+        }
+    }
+
     /// Performs the timing side of one access issued on `sm`; returns the
     /// cycle cost and the level that served it.
     ///
@@ -67,62 +87,7 @@ impl MemSystem {
         mode: AccessMode,
         kind: AccessKind,
     ) -> (u32, MemLevel) {
-        match mode {
-            AccessMode::Plain => match kind {
-                AccessKind::Load => {
-                    if self.l1[sm].access(addr) {
-                        (self.l1_cycles, MemLevel::L1)
-                    } else if self.l2.access(addr) {
-                        (self.l1_cycles + self.l2_cycles, MemLevel::L2)
-                    } else {
-                        self.dram_accesses += 1;
-                        (
-                            self.l1_cycles + self.l2_cycles + self.dram_cycles,
-                            MemLevel::Dram,
-                        )
-                    }
-                }
-                // Write-through no-allocate: stores cost an L2 transaction;
-                // the L1 line is refreshed only if already present. `touch`
-                // updates the line's recency without allocating or counting
-                // (a `probe` here used to discard the result, so stored-to
-                // lines aged out as if never used — see the
-                // `store_refreshes_resident_line` test).
-                AccessKind::Store | AccessKind::Rmw => {
-                    self.l1[sm].touch(addr);
-                    if self.l2.access(addr) {
-                        (self.l2_cycles, MemLevel::L2)
-                    } else {
-                        self.dram_accesses += 1;
-                        (self.l2_cycles + self.dram_cycles, MemLevel::Dram)
-                    }
-                }
-            },
-            AccessMode::Volatile => {
-                if self.l2.access(addr) {
-                    (self.l2_cycles, MemLevel::L2)
-                } else {
-                    self.dram_accesses += 1;
-                    (self.l2_cycles + self.dram_cycles, MemLevel::Dram)
-                }
-            }
-            AccessMode::Atomic => {
-                // Relaxed atomic loads/stores cost what volatile accesses
-                // cost (both are plain L2 transactions); only read-modify-
-                // write operations pay the serialization surcharge.
-                let extra = if kind == AccessKind::Rmw {
-                    self.atomic_extra
-                } else {
-                    0
-                };
-                if self.l2.access(addr) {
-                    (self.l2_cycles + extra, MemLevel::L2)
-                } else {
-                    self.dram_accesses += 1;
-                    (self.l2_cycles + self.dram_cycles + extra, MemLevel::Dram)
-                }
-            }
-        }
+        self.port(sm).access(addr, mode, kind)
     }
 
     /// Aggregate L1 statistics across all SMs.
@@ -153,6 +118,89 @@ impl MemSystem {
         }
         self.l2.reset_stats();
         self.dram_accesses = 0;
+    }
+}
+
+/// The memory system as one SM sees it (see [`MemSystem::port`]). It holds
+/// the one copy of the routing rules. The executor reads the L1, L2 and
+/// atomic latencies from it to charge shared-memory, fence and block-scope
+/// costs.
+pub(crate) struct MemPort<'a> {
+    l1: &'a mut Cache,
+    l2: &'a mut Cache,
+    dram_accesses: &'a mut u64,
+    pub(crate) l1_cycles: u32,
+    pub(crate) l2_cycles: u32,
+    dram_cycles: u32,
+    pub(crate) atomic_extra: u32,
+}
+
+impl MemPort<'_> {
+    /// Performs the timing side of one access; returns the cycle cost and
+    /// the level that served it. The routing rules are [`MemSystem`]'s.
+    #[inline]
+    pub(crate) fn access(
+        &mut self,
+        addr: u32,
+        mode: AccessMode,
+        kind: AccessKind,
+    ) -> (u32, MemLevel) {
+        match mode {
+            AccessMode::Plain => match kind {
+                AccessKind::Load => {
+                    if self.l1.access(addr) {
+                        (self.l1_cycles, MemLevel::L1)
+                    } else if self.l2.access(addr) {
+                        (self.l1_cycles + self.l2_cycles, MemLevel::L2)
+                    } else {
+                        *self.dram_accesses += 1;
+                        (
+                            self.l1_cycles + self.l2_cycles + self.dram_cycles,
+                            MemLevel::Dram,
+                        )
+                    }
+                }
+                // Write-through no-allocate: stores cost an L2 transaction;
+                // the L1 line is refreshed only if already present. `touch`
+                // updates the line's recency without allocating or counting
+                // (a `probe` here used to discard the result, so stored-to
+                // lines aged out as if never used — see the
+                // `store_refreshes_resident_line` test).
+                AccessKind::Store | AccessKind::Rmw => {
+                    self.l1.touch(addr);
+                    if self.l2.access(addr) {
+                        (self.l2_cycles, MemLevel::L2)
+                    } else {
+                        *self.dram_accesses += 1;
+                        (self.l2_cycles + self.dram_cycles, MemLevel::Dram)
+                    }
+                }
+            },
+            AccessMode::Volatile => {
+                if self.l2.access(addr) {
+                    (self.l2_cycles, MemLevel::L2)
+                } else {
+                    *self.dram_accesses += 1;
+                    (self.l2_cycles + self.dram_cycles, MemLevel::Dram)
+                }
+            }
+            AccessMode::Atomic => {
+                // Relaxed atomic loads/stores cost what volatile accesses
+                // cost (both are plain L2 transactions); only read-modify-
+                // write operations pay the serialization surcharge.
+                let extra = if kind == AccessKind::Rmw {
+                    self.atomic_extra
+                } else {
+                    0
+                };
+                if self.l2.access(addr) {
+                    (self.l2_cycles + extra, MemLevel::L2)
+                } else {
+                    *self.dram_accesses += 1;
+                    (self.l2_cycles + self.dram_cycles + extra, MemLevel::Dram)
+                }
+            }
+        }
     }
 }
 

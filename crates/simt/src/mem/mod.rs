@@ -7,4 +7,5 @@ mod hierarchy;
 
 pub use arena::{DeviceBuffer, DevicePtr, DeviceValue, Memory};
 pub use cache::{Cache, CacheStats};
+pub(crate) use hierarchy::MemPort;
 pub use hierarchy::{MemLevel, MemSystem};
