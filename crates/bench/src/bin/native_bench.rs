@@ -25,10 +25,12 @@
 //! full-scale simulation of a 14.7M-edge graph would take days, so the bin
 //! refuses the combination.
 //!
-//! Exit codes: 0 on success, 2 on a usage error (unknown backend,
-//! `--backend sim` without `--quick`, a non-numeric `--threads`/`--reps`),
-//! reported on one line before any input is built or the report written.
+//! Exit codes: 0 on success, 2 on a usage error (an unknown argument, a
+//! flag without its value or given twice, an unknown backend, `--backend
+//! sim` without `--quick`, a non-numeric `--threads`/`--reps`), reported on
+//! one line before any input is built or the report written.
 
+use ecl_bench::cli::{usage_exit, Args};
 use ecl_bench::export::Json;
 use ecl_bench::geomean;
 use ecl_core::suite::{
@@ -108,8 +110,7 @@ fn input_json(role: &str, name: &str, g: &Csr) -> Json {
 
 /// Reports a command-line error on one line and exits 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!("native_bench: {msg}");
-    std::process::exit(2);
+    usage_exit("native_bench", msg)
 }
 
 /// Parses a numeric flag value, or exits 2 naming the flag.
@@ -120,22 +121,27 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let backend_name = flag_value("--backend").unwrap_or_else(|| "native".into());
-    let threads = flag_value("--threads").map(|t| parse_num::<usize>("--threads", &t));
-    let reps: u32 = flag_value("--reps").map_or(2, |r| parse_num("--reps", &r));
-    let out_path = flag_value("--out").unwrap_or_else(|| "output/BENCH_NATIVE.json".into());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(
+        &argv,
+        &["--backend", "--threads", "--reps", "--out"],
+        &["--quick"],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
+    let quick = args.has("--quick");
+    let backend_name = args.value("--backend").unwrap_or("native");
+    let threads = args
+        .value("--threads")
+        .map(|t| parse_num::<usize>("--threads", t));
+    let reps: u32 = args.value("--reps").map_or(2, |r| parse_num("--reps", r));
+    let out_path = args
+        .value("--out")
+        .unwrap_or("output/BENCH_NATIVE.json")
+        .to_string();
 
     let native = NativeBackend::new(threads);
     let sim = SimulatorBackend;
-    let backend: &dyn Backend = match backend_name.as_str() {
+    let backend: &dyn Backend = match backend_name {
         "native" => &native,
         "sim" if quick => &sim,
         "sim" => usage_error(

@@ -336,6 +336,12 @@ impl StoreBuf {
 /// thread step: per-thread state (`thread`, `sbuf_idx`) is patched in
 /// place, which keeps the construction, and the SM's memory port with it,
 /// off the hot loop.
+///
+/// The access methods are inlined into the kernel's loop whole, down to the
+/// L1's most-recently-used compare. What runs only under a rare condition
+/// is a call: store-buffer work once the buffer holds entries, a 64-bit
+/// access split on hardware without native 64-bit accesses, the
+/// out-of-bounds raise, and the hooked path's observation.
 pub struct Ctx<'a, H: Hooks = FullHooks> {
     pub(crate) mem: &'a mut Memory,
     /// The memory system as the block's SM sees it.
@@ -446,21 +452,28 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         self.cycles += self.port.l2_cycles as u64;
     }
 
-    #[inline]
+    #[inline(always)]
     fn record(&mut self, space: Space, addr: u32, width: u32, mode: AccessMode, kind: AccessKind) {
-        self.record_scoped(
-            space,
-            addr,
-            width,
-            mode,
-            kind,
-            Scope::Device,
-            MemOrder::Relaxed,
-        );
+        // `NoHooks` compiles the observation out entirely.
+        if H::HOOKED {
+            self.record_scoped(
+                space,
+                addr,
+                width,
+                mode,
+                kind,
+                Scope::Device,
+                MemOrder::Relaxed,
+            );
+        }
     }
 
+    /// The hooked path's per-access observation: the sanitizer check and
+    /// the sinks. Callers run it only when `H::HOOKED`; it is kept out of
+    /// line so that the access it observes stays compact in the kernel
+    /// loop.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(never)]
     fn record_scoped(
         &mut self,
         space: Space,
@@ -471,10 +484,6 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         scope: Scope,
         order: MemOrder,
     ) {
-        if !H::HOOKED {
-            // Fast path: no observation hooks are compiled in at all.
-            return;
-        }
         if self.sanitizer.is_some() {
             self.sanitize(space, addr, mode, kind);
         }
@@ -522,11 +531,18 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         }
     }
 
-    /// Drains store-buffer entries overlapping `[addr, addr+width)`.
+    /// Drains store-buffer entries overlapping `[addr, addr+width)`. The
+    /// emptiness check is all an access pays while nothing is buffered.
+    #[inline(always)]
     fn drain_overlapping(&mut self, addr: u32, width: u32) {
-        if self.sbufs[self.sbuf_idx].entries.is_empty() {
-            return;
+        if self.has_buffered_stores() {
+            self.commit_overlapping(addr, width);
         }
+    }
+
+    /// The loop behind [`Ctx::drain_overlapping`]'s emptiness check.
+    #[inline(never)]
+    fn commit_overlapping(&mut self, addr: u32, width: u32) {
         let mut i = 0;
         while i < self.sbufs[self.sbuf_idx].entries.len() {
             let e = self.sbufs[self.sbuf_idx].entries[i];
@@ -560,19 +576,26 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     /// leaves the allocated arena. Device pointers obtained through
     /// `DeviceBuffer::at` are host-checked already; this catches raw address
     /// arithmetic inside kernels.
-    #[inline]
-    fn check_oob(&mut self, addr: u32, width: u32, kind: AccessKind) {
+    #[inline(always)]
+    fn check_oob(&self, addr: u32, width: u32, kind: AccessKind) {
         if addr as u64 + width as u64 > self.mem.footprint() as u64 {
-            error::raise(SimError::OutOfBounds {
-                kernel: self.kernel.to_string(),
-                addr,
-                access: kind,
-            });
+            self.out_of_bounds(addr, kind);
         }
     }
 
+    /// The raise behind [`Ctx::check_oob`], kept off the access path.
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&self, addr: u32, kind: AccessKind) -> ! {
+        error::raise(SimError::OutOfBounds {
+            kernel: self.kernel.to_string(),
+            addr,
+            access: kind,
+        })
+    }
+
     /// Applies the armed fault plan (if any) to a load served at `level`.
-    #[inline]
+    #[inline(always)]
     fn maybe_flip(&mut self, bits: u64, width: u32, level: MemLevel) -> u64 {
         if !H::HOOKED {
             return bits;
@@ -600,6 +623,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// True when the compiler model is currently holding deferred stores.
+    #[inline(always)]
     fn has_buffered_stores(&self) -> bool {
         !self.sbufs[self.sbuf_idx].entries.is_empty()
     }
@@ -607,13 +631,11 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     // ---------------------------------------------------------------- plain
 
     /// A plain (ordinary) load: L1-served, racy when shared.
-    #[inline]
+    #[inline(always)]
     pub fn load<T: DeviceValue>(&mut self, ptr: DevicePtr<T>) -> T {
         if T::WIDTH == 8 && !self.native_64bit {
             // Two 32-bit halves on non-64-bit hardware (word tearing).
-            let lo = self.load_word(ptr.addr(), AccessMode::Plain) as u64;
-            let hi = self.load_word(ptr.addr() + 4, AccessMode::Plain) as u64;
-            return T::from_bits(lo | (hi << 32));
+            return T::from_bits(self.load_split(ptr.addr(), AccessMode::Plain));
         }
         self.counters.plain += 1;
         self.check_oob(ptr.addr(), T::WIDTH, AccessKind::Load);
@@ -626,14 +648,9 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         );
         // One emptiness check covers both store-buffer scans: empty is the
         // overwhelmingly common case (Immediate visibility never buffers).
-        if !self.sbufs[self.sbuf_idx].entries.is_empty() {
-            if let Some(bits) = self.sbufs[self.sbuf_idx].exact(ptr.addr(), T::WIDTH) {
-                // Store-to-load forwarding: free, served from "registers".
-                self.cycles += self.alu_cycles as u64;
+        if self.has_buffered_stores() {
+            if let Some(bits) = self.forward_or_drain(ptr.addr(), T::WIDTH) {
                 return T::from_bits(bits);
-            }
-            if self.sbufs[self.sbuf_idx].overlaps(ptr.addr(), T::WIDTH) {
-                self.drain_overlapping(ptr.addr(), T::WIDTH);
             }
         }
         let (cost, level) = self
@@ -645,16 +662,10 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// A plain store: may be deferred by the compiler model.
-    #[inline]
+    #[inline(always)]
     pub fn store<T: DeviceValue>(&mut self, ptr: DevicePtr<T>, value: T) {
         if T::WIDTH == 8 && !self.native_64bit {
-            // The hardware performs two independent 32-bit stores. The first
-            // commits at once; the second follows the compiler model's drain
-            // schedule — between them, other threads observe a torn value
-            // (paper Fig. 1).
-            let bits = value.to_bits();
-            self.store_word_immediate(ptr.addr(), bits as u32, AccessMode::Plain);
-            self.store_word(ptr.addr() + 4, (bits >> 32) as u32, AccessMode::Plain);
+            self.store_split(ptr.addr(), value.to_bits(), AccessMode::Plain);
             return;
         }
         self.counters.plain += 1;
@@ -699,6 +710,24 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         }
     }
 
+    /// Store-to-load forwarding for a plain load while the store buffer
+    /// holds entries: the value of an exact entry, or `None` after draining
+    /// any entry the load overlaps.
+    #[inline(never)]
+    fn forward_or_drain(&mut self, addr: u32, width: u32) -> Option<u64> {
+        if let Some(bits) = self.sbufs[self.sbuf_idx].exact(addr, width) {
+            // Free: served from "registers".
+            self.cycles += self.alu_cycles as u64;
+            return Some(bits);
+        }
+        if self.sbufs[self.sbuf_idx].overlaps(addr, width) {
+            self.commit_overlapping(addr, width);
+        }
+        None
+    }
+
+    /// Holds a deferred plain store in the running thread's buffer.
+    #[inline(never)]
     fn buffer_store(&mut self, e: StoreEntry) {
         if let Some(existing) = self.sbufs[self.sbuf_idx]
             .entries
@@ -720,6 +749,32 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         }
         self.sbufs[self.sbuf_idx].entries.push(e);
         self.cycles += self.alu_cycles as u64;
+    }
+
+    /// A 64-bit plain or volatile load as two 32-bit halves, on hardware
+    /// without native 64-bit accesses.
+    #[cold]
+    #[inline(never)]
+    fn load_split(&mut self, addr: u32, mode: AccessMode) -> u64 {
+        let lo = self.load_word(addr, mode) as u64;
+        let hi = self.load_word(addr + 4, mode) as u64;
+        lo | (hi << 32)
+    }
+
+    /// A 64-bit plain or volatile store as two 32-bit stores, on hardware
+    /// without native 64-bit accesses. The first commits at once. A plain
+    /// second half follows the compiler model's drain schedule, so between
+    /// the two, other threads observe a torn value (paper Fig. 1); volatile
+    /// does not prevent tearing either (paper §II-A).
+    #[cold]
+    #[inline(never)]
+    fn store_split(&mut self, addr: u32, bits: u64, mode: AccessMode) {
+        self.store_word_immediate(addr, bits as u32, mode);
+        if mode == AccessMode::Plain {
+            self.store_word(addr + 4, (bits >> 32) as u32);
+        } else {
+            self.store_word_immediate(addr + 4, (bits >> 32) as u32, mode);
+        }
     }
 
     /// 32-bit half access used by split 64-bit plain/volatile operations.
@@ -766,52 +821,38 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         self.mem.write_bits(addr, 4, value as u64);
     }
 
-    fn store_word(&mut self, addr: u32, value: u32, mode: AccessMode) {
+    /// A plain 32-bit store that follows the compiler model (the second
+    /// half of a split 64-bit plain store).
+    fn store_word(&mut self, addr: u32, value: u32) {
         self.check_oob(addr, 4, AccessKind::Store);
-        match mode {
-            AccessMode::Plain => {
-                self.counters.plain += 1;
-                self.record(Space::Global, addr, 4, mode, AccessKind::Store);
-                let buffered = match self.visibility {
-                    StoreVisibility::Immediate => false,
-                    StoreVisibility::DeferBounded { eighths, .. } => {
-                        deferred_address(addr, eighths)
-                    }
-                    _ => true,
-                };
-                if buffered {
-                    self.buffer_store(StoreEntry {
-                        addr,
-                        width: 4,
-                        bits: value as u64,
-                    });
-                } else {
-                    let (cost, _) = self.port.access(addr, mode, AccessKind::Store);
-                    self.cycles += cost as u64;
-                    self.mem.write_bits(addr, 4, value as u64);
-                }
-            }
-            _ => {
-                self.counters.volatile_ += 1;
-                self.record(Space::Global, addr, 4, mode, AccessKind::Store);
-                self.drain_overlapping(addr, 4);
-                let (cost, _) = self.port.access(addr, mode, AccessKind::Store);
-                self.cycles += cost as u64;
-                self.mem.write_bits(addr, 4, value as u64);
-            }
+        self.counters.plain += 1;
+        self.record(Space::Global, addr, 4, AccessMode::Plain, AccessKind::Store);
+        let buffered = match self.visibility {
+            StoreVisibility::Immediate => false,
+            StoreVisibility::DeferBounded { eighths, .. } => deferred_address(addr, eighths),
+            _ => true,
+        };
+        if buffered {
+            self.buffer_store(StoreEntry {
+                addr,
+                width: 4,
+                bits: value as u64,
+            });
+        } else {
+            let (cost, _) = self.port.access(addr, AccessMode::Plain, AccessKind::Store);
+            self.cycles += cost as u64;
+            self.mem.write_bits(addr, 4, value as u64);
         }
     }
 
     // ------------------------------------------------------------- volatile
 
     /// A `volatile` load: bypasses L1, always reads memory, still racy.
-    #[inline]
+    #[inline(always)]
     pub fn load_volatile<T: DeviceValue>(&mut self, ptr: DevicePtr<T>) -> T {
         if T::WIDTH == 8 && !self.native_64bit {
             // volatile does NOT prevent word tearing (paper §II-A).
-            let lo = self.load_word(ptr.addr(), AccessMode::Volatile) as u64;
-            let hi = self.load_word(ptr.addr() + 4, AccessMode::Volatile) as u64;
-            return T::from_bits(lo | (hi << 32));
+            return T::from_bits(self.load_split(ptr.addr(), AccessMode::Volatile));
         }
         self.counters.volatile_ += 1;
         self.check_oob(ptr.addr(), T::WIDTH, AccessKind::Load);
@@ -832,12 +873,10 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// A `volatile` store: immediately visible, still racy.
-    #[inline]
+    #[inline(always)]
     pub fn store_volatile<T: DeviceValue>(&mut self, ptr: DevicePtr<T>, value: T) {
         if T::WIDTH == 8 && !self.native_64bit {
-            let bits = value.to_bits();
-            self.store_word(ptr.addr(), bits as u32, AccessMode::Volatile);
-            self.store_word(ptr.addr() + 4, (bits >> 32) as u32, AccessMode::Volatile);
+            self.store_split(ptr.addr(), value.to_bits(), AccessMode::Volatile);
             return;
         }
         self.counters.volatile_ += 1;
@@ -859,10 +898,12 @@ impl<'a, H: Hooks> Ctx<'a, H> {
 
     // --------------------------------------------------------------- atomic
 
+    #[inline(always)]
     fn atomic_pre(&mut self, addr: u32, width: u32, kind: AccessKind) {
         self.atomic_pre_explicit(addr, width, kind, MemOrder::Relaxed, Scope::Device);
     }
 
+    #[inline(always)]
     fn atomic_pre_explicit(
         &mut self,
         addr: u32,
@@ -875,15 +916,17 @@ impl<'a, H: Hooks> Ctx<'a, H> {
         // Atomics read and write through the (ECC-protected) coherence
         // point, so the fault model never flips them — only bounds-checks.
         self.check_oob(addr, width, kind);
-        self.record_scoped(
-            Space::Global,
-            addr,
-            width,
-            AccessMode::Atomic,
-            kind,
-            scope,
-            order,
-        );
+        if H::HOOKED {
+            self.record_scoped(
+                Space::Global,
+                addr,
+                width,
+                AccessMode::Atomic,
+                kind,
+                scope,
+                order,
+            );
+        }
         self.drain_overlapping(addr, width);
         let base = match scope {
             // Block scope: coherent within one SM, serviced by its L1.
@@ -913,21 +956,21 @@ impl<'a, H: Hooks> Ctx<'a, H> {
 
     /// A relaxed atomic load (`cuda::atomic<T>::load(memory_order_relaxed)`,
     /// the paper's Fig. 2 `atomicRead`). Never tears, even for 64-bit values.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_load<T: DeviceValue>(&mut self, ptr: DevicePtr<T>) -> T {
         self.atomic_pre(ptr.addr(), T::WIDTH, AccessKind::Load);
         self.mem.read(ptr)
     }
 
     /// A relaxed atomic store (the paper's Fig. 2 `atomicWrite`).
-    #[inline]
+    #[inline(always)]
     pub fn atomic_store<T: DeviceValue>(&mut self, ptr: DevicePtr<T>, value: T) {
         self.atomic_pre(ptr.addr(), T::WIDTH, AccessKind::Store);
         self.mem.write(ptr, value);
     }
 
     /// Generic relaxed atomic read-modify-write; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_rmw<T: DeviceValue>(&mut self, ptr: DevicePtr<T>, f: impl FnOnce(T) -> T) -> T {
         self.atomic_pre(ptr.addr(), T::WIDTH, AccessKind::Rmw);
         let old = self.mem.read(ptr);
@@ -941,7 +984,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     /// defaults to; stronger orders pay fence costs and `Scope::System`
     /// pays the system-coherence round trip (paper §II-A: "the defaults can
     /// lead to poor performance").
-    #[inline]
+    #[inline(always)]
     pub fn atomic_load_explicit<T: DeviceValue>(
         &mut self,
         ptr: DevicePtr<T>,
@@ -953,7 +996,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// An atomic store with an explicit memory order and thread scope.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_store_explicit<T: DeviceValue>(
         &mut self,
         ptr: DevicePtr<T>,
@@ -967,7 +1010,7 @@ impl<'a, H: Hooks> Ctx<'a, H> {
 
     /// An atomic read-modify-write with an explicit memory order and thread
     /// scope; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_rmw_explicit<T: DeviceValue>(
         &mut self,
         ptr: DevicePtr<T>,
@@ -982,62 +1025,62 @@ impl<'a, H: Hooks> Ctx<'a, H> {
     }
 
     /// `atomicAdd` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_add_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |old| old.wrapping_add(v))
     }
 
     /// `atomicMin` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_min_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |old| old.min(v))
     }
 
     /// `atomicMax` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_max_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |old| old.max(v))
     }
 
     /// `atomicMin` on a `u64` (`unsigned long long`); returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_min_u64(&mut self, ptr: DevicePtr<u64>, v: u64) -> u64 {
         self.atomic_rmw(ptr, |old| old.min(v))
     }
 
     /// `atomicAdd` on a `u64`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_add_u64(&mut self, ptr: DevicePtr<u64>, v: u64) -> u64 {
         self.atomic_rmw(ptr, |old| old.wrapping_add(v))
     }
 
     /// `atomicAnd` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_and_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |old| old & v)
     }
 
     /// `atomicOr` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_or_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |old| old | v)
     }
 
     /// `atomicCAS` on a `u32`; returns the old value (compare with `expected`
     /// to learn whether the swap happened).
-    #[inline]
+    #[inline(always)]
     pub fn atomic_cas_u32(&mut self, ptr: DevicePtr<u32>, expected: u32, desired: u32) -> u32 {
         self.atomic_rmw(ptr, |old| if old == expected { desired } else { old })
     }
 
     /// `atomicCAS` on a `u64`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_cas_u64(&mut self, ptr: DevicePtr<u64>, expected: u64, desired: u64) -> u64 {
         self.atomic_rmw(ptr, |old| if old == expected { desired } else { old })
     }
 
     /// `atomicExch` on a `u32`; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_exch_u32(&mut self, ptr: DevicePtr<u32>, v: u32) -> u32 {
         self.atomic_rmw(ptr, |_| v)
     }

@@ -135,27 +135,46 @@ impl Cache {
 
     /// Looks up the line containing `addr`, allocating it on a miss.
     /// Returns `true` on a hit.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u32) -> bool {
         let line = addr >> self.line_shift;
-        let ways = self.ways as usize;
-        let base = self.set_index(line as u64) * ways;
-        if self.tags.len() < base + ways {
-            self.grow(base + ways);
-        }
-        let set = &mut self.tags[base..base + ways];
+        let base = self.set_index(line as u64) * self.ways as usize;
         // MRU way first: sequential re-references resolve on one compare.
-        if set[0] == line {
+        // The storage grows by whole sets, so a set whose first way exists
+        // exists whole.
+        if self.tags.get(base) == Some(&line) {
             self.stats.hits += 1;
             return true;
         }
+        self.below_mru(base, line, true)
+    }
+
+    /// Everything past the MRU compare of [`Cache::access`] (`allocate`)
+    /// and [`Cache::touch`] (not `allocate`): the search of the other ways
+    /// and the rotation of a hit to the front and, for an access only, the
+    /// miss and the growth of the tag storage. Returns `true` on a hit.
+    #[inline(never)]
+    fn below_mru(&mut self, base: usize, line: u32, allocate: bool) -> bool {
+        let ways = self.ways as usize;
+        if self.tags.len() < base + ways {
+            if !allocate {
+                return false;
+            }
+            self.grow(base + ways);
+        }
+        let set = &mut self.tags[base..base + ways];
         for i in 1..ways {
             if set[i] == line {
                 set.copy_within(0..i, 1);
                 set[0] = line;
-                self.stats.hits += 1;
+                if allocate {
+                    self.stats.hits += 1;
+                }
                 return true;
             }
+        }
+        if !allocate {
+            return false;
         }
         // Miss: the last way is the LRU line (or an empty slot while the
         // set is still filling — empties sink to the back under rotation,
@@ -192,25 +211,11 @@ impl Cache {
     ///
     /// This is the write-through no-allocate store path's half of LRU: a
     /// store to a cached line keeps the line hot without fetching anything.
-    #[inline]
+    #[inline(always)]
     pub fn touch(&mut self, addr: u32) -> bool {
         let line = addr >> self.line_shift;
-        let ways = self.ways as usize;
-        let base = self.set_index(line as u64) * ways;
-        let Some(set) = self.tags.get_mut(base..base + ways) else {
-            return false;
-        };
-        if set[0] == line {
-            return true;
-        }
-        for i in 1..ways {
-            if set[i] == line {
-                set.copy_within(0..i, 1);
-                set[0] = line;
-                return true;
-            }
-        }
-        false
+        let base = self.set_index(line as u64) * self.ways as usize;
+        self.tags.get(base) == Some(&line) || self.below_mru(base, line, false)
     }
 
     /// Total number of lines the cache can hold (`sets × ways`), exactly

@@ -138,7 +138,7 @@ pub(crate) struct MemPort<'a> {
 impl MemPort<'_> {
     /// Performs the timing side of one access; returns the cycle cost and
     /// the level that served it. The routing rules are [`MemSystem`]'s.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn access(
         &mut self,
         addr: u32,

@@ -2,7 +2,8 @@
 //! buffer behaviour, split accesses, and launch geometry.
 
 use ecl_simt::{
-    Ctx, ForEach, Gpu, GpuConfig, Kernel, LaunchConfig, Step, StoreVisibility, ThreadInfo,
+    AccessKind, Ctx, DevicePtr, ForEach, Gpu, GpuConfig, Kernel, LaunchConfig, NoHooks, SimError,
+    Step, StoreVisibility, ThreadInfo,
 };
 
 fn single_thread_launch(visibility: StoreVisibility) -> LaunchConfig {
@@ -118,6 +119,77 @@ fn store_buffer_overflow_drains_oldest() {
     for (i, &v) in host.iter().enumerate() {
         assert_eq!(v, i as u32 + 1);
     }
+}
+
+#[test]
+fn overlapping_loads_drain_a_held_byte_store() {
+    // A held byte store inside the loaded word is not an exact match, so
+    // each load kind must drain it before reading the word from memory.
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let word = gpu.alloc::<u32>(1);
+    let seen = gpu.alloc::<u32>(3);
+    gpu.upload(&word, &[0x1111_1111]);
+    gpu.launch(
+        single_thread_launch(StoreVisibility::DeferUntilDone),
+        ForEach::new("byte_overlap", 1, move |ctx, _| {
+            let byte1 = DevicePtr::<u8>::from_raw(word.at(0).addr() + 1);
+            ctx.store(byte1, 0xaa);
+            let plain = ctx.load(word.at(0));
+            ctx.store_volatile(seen.at(0), plain);
+            ctx.store(byte1, 0xbb);
+            let volatile = ctx.load_volatile(word.at(0));
+            ctx.store_volatile(seen.at(1), volatile);
+            ctx.store(byte1, 0xcc);
+            let atomic = ctx.atomic_add_u32(word.at(0), 0);
+            ctx.store_volatile(seen.at(2), atomic);
+        }),
+    );
+    assert_eq!(
+        gpu.download(&seen),
+        vec![0x1111_aa11, 0x1111_bb11, 0x1111_cc11]
+    );
+}
+
+#[test]
+fn raw_address_past_the_arena_is_a_typed_error_on_both_paths() {
+    fn check(result: Result<&ecl_simt::KernelStats, SimError>, end: u32) {
+        let err = result.expect_err("a load past the arena must fail the launch");
+        let message = err.to_string();
+        assert!(
+            message.contains("'past_end'") && message.contains(&format!("{end:#x}")),
+            "{message}"
+        );
+        match err {
+            SimError::OutOfBounds {
+                kernel,
+                addr,
+                access,
+            } => {
+                assert_eq!(kernel, "past_end");
+                assert_eq!(addr, end);
+                assert_eq!(access, AccessKind::Load);
+            }
+            other => panic!("expected OutOfBounds, got {other:?}"),
+        }
+    }
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let _buf = gpu.alloc::<u32>(64);
+    let end = gpu.memory().footprint() as u32;
+    let past_end = DevicePtr::<u32>::from_raw(end);
+    let hooked = gpu.try_launch(
+        single_thread_launch(StoreVisibility::Immediate),
+        ForEach::new("past_end", 1, move |ctx, _| {
+            ctx.load(past_end);
+        }),
+    );
+    check(hooked, end);
+    let fast = gpu.try_launch_with::<NoHooks, _>(
+        single_thread_launch(StoreVisibility::Immediate),
+        ForEach::with_hooks::<NoHooks>("past_end", 1, move |ctx, _| {
+            ctx.load(past_end);
+        }),
+    );
+    check(fast, end);
 }
 
 #[test]
