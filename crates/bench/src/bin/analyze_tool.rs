@@ -19,9 +19,11 @@
 //!
 //! Exit codes: 0 = all checks passed, 1 = a check failed (unclassified
 //! conflict, unproven race-free variant, differential mismatch, or contract
-//! violation), 2 = usage error.
+//! violation), 2 = usage error (an unknown flag or stray word, a flag
+//! without its value or given twice, a bad value).
 
 use ecl_analyze::{check_suite, format_census, suite_passes, CheckReport};
+use ecl_bench::cli::{usage_exit, Args};
 use ecl_bench::export::Json;
 use ecl_core::suite::{Algorithm, Variant};
 use ecl_racecheck::RaceClass;
@@ -78,41 +80,28 @@ fn report_json(r: &CheckReport) -> Json {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    for a in &args {
-        if a.starts_with("--")
-            && !matches!(
-                a.as_str(),
-                "--differential" | "--sanitize" | "--census-md" | "--json" | "--seeds"
-            )
-        {
-            eprintln!("analyze_tool: unknown flag '{a}'");
-            return ExitCode::from(2);
-        }
-    }
-    let num_seeds: u64 = match args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-    {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(
+        &argv,
+        &["--seeds"],
+        &["--differential", "--sanitize", "--census-md", "--json"],
+    )
+    .unwrap_or_else(|e| usage_exit("analyze_tool", &e));
+    let num_seeds: u64 = match args.value("--seeds") {
         Some(s) => match s.parse() {
             Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("analyze_tool: bad --seeds '{s}'");
-                return ExitCode::from(2);
-            }
+            _ => usage_exit("analyze_tool", &format!("bad --seeds '{s}'")),
         },
         None => 2,
     };
-    let json_mode = has("--json");
+    let json_mode = args.has("--json");
     let cfg = GpuConfig::test_tiny();
 
     // Static pass: always runs.
     let reports = check_suite();
     let static_ok = suite_passes(&reports);
 
-    if has("--census-md") {
+    if args.has("--census-md") {
         print!("{}", format_census(&reports));
         return if static_ok {
             ExitCode::SUCCESS
@@ -158,7 +147,7 @@ fn main() -> ExitCode {
         println!("\nrace census:\n\n{}", format_census(&reports));
     }
 
-    if has("--differential") {
+    if args.has("--differential") {
         let seeds: Vec<u64> = (1..=num_seeds).collect();
         let outcomes = ecl_analyze::diff_suite(&cfg, &seeds);
         let mut mismatch_count = 0usize;
@@ -221,7 +210,7 @@ fn main() -> ExitCode {
         failed |= mismatch_count > 0;
     }
 
-    if has("--sanitize") {
+    if args.has("--sanitize") {
         let mut san_json = Vec::new();
         for alg in Algorithm::ALL {
             let graph = &ecl_analyze::default_inputs(alg)[0];

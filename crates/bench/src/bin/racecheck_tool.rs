@@ -25,8 +25,10 @@
 //!
 //! Exit codes (for CI gating): 0 = no races, 1 = races detected, 2 = a
 //! usage or I/O error (unknown flag, algorithm, variant, input or mode, a
-//! bad value, an unreadable `--mtx` file).
+//! flag without its value or given twice, a bad value, an unreadable
+//! `--mtx` file).
 
+use ecl_bench::cli::{usage_exit, Args};
 use ecl_bench::export::Json;
 use ecl_core::suite::{run_variant_on, Algorithm, Variant};
 use ecl_racecheck::{
@@ -90,108 +92,75 @@ fn report_json(r: &RaceReport) -> Json {
     ])
 }
 
-/// Prints a diagnostic to stderr and exits with the usage/I/O error code.
-fn usage_error(message: String) -> ExitCode {
-    eprintln!("racecheck_tool: {message}");
-    ExitCode::from(2)
+/// Reports a usage or I/O error on one stderr line and exits 2.
+fn usage_error(message: &str) -> ! {
+    usage_exit("racecheck_tool", message)
 }
 
-/// Flags that take a value.
-const VALUE_FLAGS: [&str; 7] = [
-    "--alg",
-    "--variant",
-    "--input",
-    "--scale",
-    "--mtx",
-    "--mode",
-    "--max-pairs",
-];
-
-/// Flags that stand alone.
-const SWITCHES: [&str; 2] = ["--profile", "--json"];
-
 fn main() -> ExitCode {
-    let mut values: Vec<(&str, String)> = Vec::new();
-    let mut switches: Vec<&str> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == arg) {
-            match args.next() {
-                Some(value) => values.push((flag, value)),
-                None => return usage_error(format!("{flag} needs a value")),
-            }
-        } else if let Some(&switch) = SWITCHES.iter().find(|&&f| f == arg) {
-            switches.push(switch);
-        } else {
-            return usage_error(format!(
-                "unknown argument '{arg}' (flags: {} {})",
-                VALUE_FLAGS.join(" "),
-                SWITCHES.join(" ")
-            ));
-        }
-    }
-    let get = |flag: &str, default: &str| -> String {
-        values
-            .iter()
-            .rev()
-            .find(|(f, _)| *f == flag)
-            .map_or_else(|| default.to_string(), |(_, v)| v.clone())
-    };
-
-    let alg = get("--alg", "cc").to_lowercase();
-    let variant = get("--variant", "baseline").to_lowercase();
-    let input_name = get("--input", "rmat16.sym");
-    let scale: f64 = match get("--scale", "0.25").parse() {
-        Ok(s) => s,
-        Err(_) => return usage_error(format!("bad --scale '{}'", get("--scale", "0.25"))),
-    };
-    let mode = get("--mode", "precise");
-    let mtx_path = get("--mtx", "");
-    let max_pairs: Option<usize> = match values.iter().rev().find(|(f, _)| *f == "--max-pairs") {
-        Some((_, v)) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => return usage_error("--max-pairs needs a positive integer".into()),
-        },
-        None => None,
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(
+        &argv,
+        &[
+            "--alg",
+            "--variant",
+            "--input",
+            "--scale",
+            "--mtx",
+            "--mode",
+            "--max-pairs",
+        ],
+        &["--profile", "--json"],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
+    let alg = args.value("--alg").unwrap_or("cc").to_lowercase();
+    let variant = args.value("--variant").unwrap_or("baseline").to_lowercase();
+    let input_name = args.value("--input").unwrap_or("rmat16.sym");
+    let scale: f64 = args
+        .parsed("--scale")
+        .unwrap_or_else(|e| usage_error(&e))
+        .unwrap_or(0.25);
+    let mode = args.value("--mode").unwrap_or("precise");
+    let max_pairs = args.value("--max-pairs").map(|v| match v.parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => usage_error("--max-pairs needs a positive integer"),
+    });
     let algorithm = match Algorithm::parse(&alg) {
         Some(a) if a != Algorithm::Apsp => a,
-        _ => return usage_error(format!("unknown algorithm '{alg}' (cc|gc|mis|mst|scc)")),
+        _ => usage_error(&format!("unknown algorithm '{alg}' (cc|gc|mis|mst|scc)")),
     };
     let which = match variant.as_str() {
         "baseline" => Variant::Baseline,
         "race-free" | "racefree" => Variant::RaceFree,
-        other => return usage_error(format!("unknown variant '{other}' (baseline|race-free)")),
+        other => usage_error(&format!("unknown variant '{other}' (baseline|race-free)")),
     };
-    let detector_mode = match mode.as_str() {
+    let detector_mode = match mode {
         "precise" => DetectorMode::Precise,
         "shared-only" => DetectorMode::SharedOnly,
         "no-launch-barrier" => DetectorMode::NoLaunchBarrier,
         "happens-before" | "hb" => DetectorMode::HappensBefore,
-        other => return usage_error(format!("unknown detector mode '{other}'")),
+        other => usage_error(&format!("unknown detector mode '{other}'")),
     };
 
     // Input: a real .mtx file when given, else a catalog stand-in.
-    let (graph, input_label) = if mtx_path.is_empty() {
-        let input = match ecl_graph::inputs::GraphInput::by_name(&input_name) {
-            Some(i) => i,
-            None => {
-                return usage_error(format!(
+    let (graph, input_label) = match args.value("--mtx") {
+        None => {
+            let input = ecl_graph::inputs::GraphInput::by_name(input_name).unwrap_or_else(|| {
+                usage_error(&format!(
                     "unknown input '{input_name}' (see all_tests --list-inputs)"
                 ))
+            });
+            match input.try_build(scale, 1) {
+                Ok(g) => (g, format!("{input_name} (scale {scale})")),
+                Err(e) => usage_error(&e.to_string()),
             }
-        };
-        match input.try_build(scale, 1) {
-            Ok(g) => (g, format!("{input_name} (scale {scale})")),
-            Err(e) => return usage_error(e.to_string()),
         }
-    } else {
-        match ecl_graph::mtx::load_mtx(&mtx_path) {
-            Ok(g) => (g, mtx_path.clone()),
-            Err(e) => return usage_error(e.to_string()),
-        }
+        Some(path) => match ecl_graph::mtx::load_mtx(path) {
+            Ok(g) => (g, path.to_string()),
+            Err(e) => usage_error(&e.to_string()),
+        },
     };
-    let profile = switches.contains(&"--profile");
+    let profile = args.has("--profile");
     let mut gpu = Gpu::new(GpuConfig::rtx2070_super());
     gpu.observe(RaceChecker::new(&[detector_mode], max_pairs.unwrap_or(1)));
     if profile {
@@ -209,7 +178,7 @@ fn main() -> ExitCode {
         None => (check_races_with_mode(&gpu, detector_mode), None),
     };
     let exit = u8::from(!reports.is_empty());
-    if switches.contains(&"--json") {
+    if args.has("--json") {
         // In bounded mode each report carries its retained pair evidence,
         // and findings whose evidence was cut off are listed under a typed
         // `truncated` marker so a capped run reads as capped.
@@ -236,7 +205,7 @@ fn main() -> ExitCode {
             ("alg", Json::Str(alg.clone())),
             ("variant", Json::Str(variant.clone())),
             ("input", Json::Str(input_label.clone())),
-            ("mode", Json::Str(mode.clone())),
+            ("mode", Json::Str(mode.into())),
             ("trace_len", Json::Num(trace_len as f64)),
             ("findings", Json::Num(reports.len() as f64)),
             (

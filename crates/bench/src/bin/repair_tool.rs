@@ -28,9 +28,11 @@
 //!
 //! `--json` emits a single document (schema `ecl-bench/REPAIR/v1`).
 //! Exit codes: 0 = every variant synthesized and verified, 1 = a synthesis
-//! or oracle failure, 2 = usage error.
+//! or oracle failure, 2 = usage error (an unknown flag or stray word, a
+//! flag without its value or given twice, a bad value).
 
 use ecl_analyze::repair;
+use ecl_bench::cli::{usage_exit, Args};
 use ecl_bench::export::Json;
 use ecl_core::suite::Algorithm;
 use ecl_simt::GpuConfig;
@@ -67,53 +69,35 @@ fn group_arr(groups: &std::collections::BTreeSet<(String, String)>) -> Json {
     )
 }
 
+/// Reports a usage error on one stderr line and exits 2.
+fn usage_error(message: &str) -> ! {
+    usage_exit("repair_tool", message)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    for a in args.iter().filter(|a| a.starts_with("--")) {
-        if !matches!(a.as_str(), "--alg" | "--scale" | "--gpu" | "--json") {
-            eprintln!("repair_tool: unknown flag '{a}'");
-            return ExitCode::from(2);
-        }
-    }
-    let algs: Vec<Algorithm> = match get("--alg").unwrap_or("all") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv, &["--alg", "--scale", "--gpu"], &["--json"])
+        .unwrap_or_else(|e| usage_error(&e));
+    let algs: Vec<Algorithm> = match args.value("--alg").unwrap_or("all") {
         "all" => Algorithm::ALL.to_vec(),
         name => match Algorithm::parse(name) {
             Some(a) => vec![a],
-            None => {
-                eprintln!("repair_tool: unknown algorithm '{name}'");
-                return ExitCode::from(2);
-            }
+            None => usage_error(&format!("unknown algorithm '{name}'")),
         },
     };
-    let scale: f64 = match get("--scale").map(str::parse).transpose() {
-        Ok(s) => s.unwrap_or(0.05),
-        Err(_) => {
-            eprintln!("repair_tool: bad --scale");
-            return ExitCode::from(2);
-        }
-    };
+    let scale: f64 = args
+        .parsed("--scale")
+        .unwrap_or_else(|e| usage_error(&e))
+        .unwrap_or(0.05);
     if !(scale > 0.0 && scale.is_finite()) {
-        eprintln!("repair_tool: --scale must be a positive finite number");
-        return ExitCode::from(2);
+        usage_error("--scale must be a positive finite number");
     }
-    let cfg = match get("--gpu") {
+    let cfg = match args.value("--gpu") {
         None => GpuConfig::test_tiny(),
-        Some(name) => match GpuConfig::by_name(name) {
-            Some(c) => c,
-            None => {
-                eprintln!("repair_tool: unknown GPU '{name}'");
-                return ExitCode::from(2);
-            }
-        },
+        Some(name) => GpuConfig::by_name(name)
+            .unwrap_or_else(|| usage_error(&format!("unknown GPU '{name}'"))),
     };
-    let json_mode = has("--json");
+    let json_mode = args.has("--json");
     const GRAPH_SEED: u64 = 7;
 
     let mut failed = false;

@@ -1,5 +1,5 @@
-//! Strict command-line parsing for the sweep binaries, `all_tests` and
-//! `farm`.
+//! Strict command-line parsing for the binaries: `all_tests`, `farm`,
+//! `native_bench`, `racecheck_tool`, `repair_tool` and `analyze_tool`.
 //!
 //! A binary lists the flags it honours. Anything else on its command line
 //! is a usage error: an unknown flag or stray word, a flag without its

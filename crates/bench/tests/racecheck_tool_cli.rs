@@ -13,7 +13,7 @@ fn racecheck_tool(args: &[&str]) -> Output {
 
 #[test]
 fn usage_errors_exit_2_with_one_line() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["--alg", "cc", "--variant", "racefre"],
             "unknown variant 'racefre'",
@@ -30,6 +30,7 @@ fn usage_errors_exit_2_with_one_line() {
             &["--max-pairs", "0"],
             "--max-pairs needs a positive integer",
         ),
+        (&["--alg", "cc", "--alg", "mis"], "--alg is given twice"),
     ];
     for (args, message) in cases {
         let run = racecheck_tool(args);

@@ -9,8 +9,10 @@
 //!
 //! The conversion is expressed once, as the [`primitives::AccessPolicy`]
 //! trait: every kernel is generic over how it touches *shared mutable* data,
-//! and instantiating it with [`primitives::Plain`], [`primitives::Volatile`],
-//! or [`primitives::Atomic`] yields the baseline or race-free executable —
+//! and a policy names only the modes its reads and writes take.
+//! Instantiating a kernel with [`primitives::Plain`],
+//! [`primitives::Volatile`], [`primitives::VolatileReadPlainWrite`] or
+//! [`primitives::Atomic`] yields the baseline or race-free executable —
 //! exactly how the authors produced their race-free codes by swapping access
 //! macros. [`suite::Flavor`] names, once, which policy each variant
 //! instantiates per algorithm, and each module's `ir` describes the same
@@ -20,8 +22,8 @@
 //! |---|---|---|---|
 //! | All-pairs shortest paths | [`apsp`] | — | regular; no races (paper §IV-A) |
 //! | Connected components | [`cc`] | plain | racy pointer jumping |
-//! | Graph coloring | [`gc`] | volatile | Jones-Plassmann + shortcuts |
-//! | Maximal independent set | [`mis`] | plain | status+priority packed in a byte |
+//! | Graph coloring | [`gc`] | volatile colors, plain `minposs` | Jones-Plassmann + shortcuts |
+//! | Maximal independent set | [`mis`] | volatile reads, plain writes | status+priority packed in a byte |
 //! | Minimum spanning tree | [`mst`] | volatile | 64-bit packed best-edge array |
 //! | Strongly connected comp. | [`scc`] | plain | `int2` pairs + global flag |
 //!
